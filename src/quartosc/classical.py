@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams, PerturbationSeries, QuantumNumbers, validate
+from .model import ModelParams, PerturbationSeries, QuantumNumbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,7 +72,6 @@ def coupling_v(actions: ActionPair, angles: AnglePair) -> float:
 
 def h0_actions(actions: ActionPair, params: ModelParams) -> float:
     """Unperturbed normal-form term omega1*I1 + omega2*I2."""
-    validate(params)
     return params.omega1 * actions.i1 + params.omega2 * actions.i2
 
 
@@ -88,7 +87,6 @@ def h2_actions(actions: ActionPair, params: ModelParams) -> float:
                    - (I1 - I2)/(omega1 - omega2)
                    + (I1 + I2)/(omega1 + omega2) ]
     """
-    validate(params)
     i1, i2 = actions.i1, actions.i2
     w1, w2 = params.omega1, params.omega2
     bracket = (
@@ -106,7 +104,6 @@ def s1_generator(actions: ActionPair, angles: AnglePair, params: ModelParams) ->
                    + sin(2(theta1 - theta2))/(omega1 - omega2)
                    + sin(2(theta1 + theta2))/(omega1 + omega2) ]
     """
-    validate(params)
     i1, i2 = actions.i1, actions.i2
     w1, w2 = params.omega1, params.omega2
     t1, t2 = angles.theta1, angles.theta2
@@ -122,7 +119,6 @@ def s1_angle_gradient(
     actions: ActionPair, angles: AnglePair, params: ModelParams
 ) -> tuple[float, float]:
     """Analytic (dS1/dtheta1, dS1/dtheta2)."""
-    validate(params)
     i1, i2 = actions.i1, actions.i2
     w1, w2 = params.omega1, params.omega2
     t1, t2 = angles.theta1, angles.theta2
@@ -185,7 +181,6 @@ def ebk_actions(n: QuantumNumbers, hbar: float) -> ActionPair:
 
 def semiclassical_series(n: QuantumNumbers, params: ModelParams) -> PerturbationSeries:
     """Semiclassical level as a series in g: normal form at quantized actions."""
-    validate(params)
     actions = ebk_actions(n, params.hbar)
     return PerturbationSeries(
         e0=h0_actions(actions, params),

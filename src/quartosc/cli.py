@@ -10,26 +10,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import diag, report
-from .model import ModelError, ModelParams, validate
+from .model import DEFAULT_PARAMS, ModelError, ModelParams
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-_DEFAULTS = {
-    "omega1": "1",
-    "omega2": "sqrt2",
-    "g": "0.1",
-    "hbar": "1",
-    "k": "100",
-    "digits": "8",
-    "rows": "20",
-    "hbars": "1,0.1",
-}
 
 
 def _frequency(text: str) -> float:
@@ -37,6 +27,43 @@ def _frequency(text: str) -> float:
     if text.strip().lower() == "sqrt2":
         return math.sqrt(2.0)
     return float(text)
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be a positive integer")
+    return value
+
+
+def _hbar_list(text: str) -> tuple[float, ...]:
+    """Comma-separated hbar values, each checked as ModelParams checks hbar."""
+    hbars = tuple(float(h) for h in text.split(",") if h.strip())
+    if not hbars:
+        raise ValueError("list is empty")
+    for hbar in hbars:
+        replace(DEFAULT_PARAMS, hbar=hbar)
+    return hbars
+
+
+#: Every valued flag: (default, parser, help).  A value from the command
+#: line, from --config or from this table goes through the same parser.
+_FLAGS = {
+    "omega1": ("1", _frequency, "first frequency"),
+    "omega2": ("sqrt2", _frequency, "second frequency; accepts `sqrt2`"),
+    "g": ("0.1", float, "quartic coupling strength"),
+    "hbar": ("1", float, "reduced Planck constant"),
+    "k": ("100", _count, "number of levels to converge"),
+    "digits": ("8", _count, "convergence digit target"),
+    "rows": ("20", _count, "rows to emit"),
+    "hbars": ("1,0.1", _hbar_list, "comma-separated hbar list"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        default, _, help_text = _FLAGS[key]
+        parser.add_argument(f"--{key}", help=f"{help_text} (default {default})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,20 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--omega1", default=None,
-                       help=f"first frequency (default {_DEFAULTS['omega1']})")
-        p.add_argument("--omega2", default=None,
-                       help=f"second frequency; accepts `sqrt2` (default {_DEFAULTS['omega2']})")
-        p.add_argument("--g", default=None,
-                       help=f"quartic coupling strength (default {_DEFAULTS['g']})")
-        p.add_argument("--hbar", default=None,
-                       help=f"reduced Planck constant (default {_DEFAULTS['hbar']})")
-        p.add_argument("--k", default=None,
-                       help=f"number of levels to converge (default {_DEFAULTS['k']})")
-        p.add_argument("--digits", default=None,
-                       help=f"convergence digit target (default {_DEFAULTS['digits']})")
-        p.add_argument("--rows", default=None,
-                       help=f"rows to emit (default {_DEFAULTS['rows']})")
+        _add_flags(p, "omega1", "omega2", "g", "hbar", "k", "digits", "rows")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="output CSV path (default: stdout)")
         p.add_argument("--dump-matrix", default=None, metavar="PATH",
@@ -82,50 +96,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan-hbar", help="semiclassical error across hbar values")
     add_shared(p_scan)
-    p_scan.add_argument("--hbars", default=None,
-                        help=f"comma-separated hbar list (default {_DEFAULTS['hbars']})")
+    _add_flags(p_scan, "hbars")
 
     return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelError(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"config file {path} is not ASCII text: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ModelError(f"config line is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace) -> dict[str, str]:
-    """Flag value, else config-file value, else default."""
+def _resolve(args: argparse.Namespace) -> tuple[ModelParams, dict]:
+    """Model parameters plus every parsed flag value of the command.
+
+    A value comes from the flag, else from the config file, else from
+    _FLAGS; a value that does not parse is a ModelError naming the flag.
+    """
     config = _load_config(args.config) if args.config else {}
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        explicit = getattr(args, key, None)
-        if explicit is not None:
-            resolved[key] = explicit
-        else:
-            resolved[key] = config.get(key, default)
-    return resolved
-
-
-def _parse_params(values: dict[str, str]) -> ModelParams:
-    try:
-        params = ModelParams(
-            omega1=_frequency(values["omega1"]),
-            omega2=_frequency(values["omega2"]),
-            g=float(values["g"]),
-            hbar=float(values["hbar"]),
-        )
-    except ValueError as exc:
-        raise ModelError(f"bad numeric flag value: {exc}") from exc
-    return validate(params)
+    values = {}
+    for key, (default, parse, _) in _FLAGS.items():
+        if key not in vars(args):
+            continue
+        text = getattr(args, key)
+        if text is None:
+            text = config.get(key, default)
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ModelError(f"bad --{key} value {text!r}: {exc}") from exc
+    params = ModelParams(
+        omega1=values["omega1"], omega2=values["omega2"], g=values["g"], hbar=values["hbar"]
+    )
+    return params, values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,31 +156,18 @@ def _dump_final_matrix(params: ModelParams, n_max: int, path: str) -> None:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
-    values = _resolve(args)
-    params = _parse_params(values)
-    k = int(values["k"])
-    digits = int(values["digits"])
-    result = diag.converged_levels(params, k=k, digits=digits)
-    lines = ["rank,n1,n2,energy,overlap_weight,ambiguous"]
-    for lvl in result.levels:
-        lines.append(
-            f"{lvl.rank},{lvl.assigned.n1},{lvl.assigned.n2},"
-            f"{lvl.energy:#.9g},{lvl.overlap_weight:#.4g},{int(lvl.ambiguous)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    params, values = _resolve(args)
+    result = diag.converged_levels(params, k=values["k"], digits=values["digits"])
+    _emit(report.render_levels_csv(result.levels), args.out)
     if args.dump_matrix:
         _dump_final_matrix(params, result.final_n_max, args.dump_matrix)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    values = _resolve(args)
-    params = _parse_params(values)
+    params, values = _resolve(args)
     table = report.comparison_table(
-        params,
-        n_rows=int(values["rows"]),
-        k=int(values["k"]),
-        digits=int(values["digits"]),
+        params, n_rows=values["rows"], k=values["k"], digits=values["digits"]
     )
     _emit(report.render_comparison_csv(table.rows), args.out)
     if args.json:
@@ -176,18 +178,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_hbar(args: argparse.Namespace) -> int:
-    values = _resolve(args)
-    hbars_text = args.hbars if args.hbars is not None else values["hbars"]
-    try:
-        hbars = [float(h) for h in hbars_text.split(",") if h.strip()]
-    except ValueError as exc:
-        raise ModelError(f"bad --hbars value {hbars_text!r}: {exc}") from exc
-    if not hbars:
-        raise ModelError("--hbars list is empty")
-    if any(h <= 0 for h in hbars):
-        raise ModelError(f"--hbars values must be > 0, got {hbars_text!r}")
-    params = _parse_params(values)
-    rows = report.hbar_scan(params, hbars, n_rows=int(values["rows"]))
+    params, values = _resolve(args)
+    rows = report.hbar_scan(params, values["hbars"], n_rows=values["rows"])
     _emit(report.render_scan_csv(rows), args.out)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import ModelParams, QuantumNumbers, validate
+from .model import ModelError, ModelParams, QuantumNumbers
 from .quantum import MatrixElementKey, e0_quantum, v_matrix_element
 
 _STEPS = ((-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2, 2))
@@ -34,6 +34,10 @@ class ConvergenceFailure(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """Basis enlargement hit the n_max cap before the levels converged."""
+
+
+class UnresolvableDigits(ModelError):
+    """The digit target is finer than double precision resolves."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,6 @@ def _assemble(states: tuple[tuple[int, int], ...], params: ModelParams) -> np.nd
 
 def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     """Full truncated Hamiltonian matrix; real symmetric by construction."""
-    validate(params)
     return _assemble(basis.states, params)
 
 
@@ -231,9 +234,10 @@ def converged_levels(
     The stopping rule compares consecutive schedule steps level by level
     against the mixed threshold 0.5 * 10^-digits * max(1, |E|); the
     reported levels (with labels from the dominant eigenvector weight)
-    come from the final step.  Raises BudgetExceeded past n_max_cap.
+    come from the final step.  Raises BudgetExceeded past n_max_cap, and
+    UnresolvableDigits at the first step where the smallest threshold is
+    no larger than 10 * eps * max|E|, the eigensolver's rounding scale.
     """
-    validate(params)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if digits < 1:
@@ -246,11 +250,18 @@ def converged_levels(
     previous = None
     history: list[tuple[int, float]] = []
     while n_max <= n_max_cap:
-        values = _merged_values(_block_spectra(params, n_max, want_vectors=False))[:k]
+        spectrum = _merged_values(_block_spectra(params, n_max, want_vectors=False))
+        values = spectrum[:k]
+        threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
+        resolution = 10.0 * np.finfo(float).eps * float(np.abs(spectrum).max())
+        if float(threshold.min()) <= resolution:
+            raise UnresolvableDigits(
+                f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
+                f"{threshold.min():.1e} <= rounding scale 10*eps*max|E| = {resolution:.1e}"
+            )
         if previous is not None:
             delta = np.abs(values - previous)
             history.append((n_max, float(delta.max())))
-            threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
             if bool(np.all(delta < threshold)):
                 spectra = _block_spectra(params, n_max, want_vectors=True)
                 return ConvergenceReport(

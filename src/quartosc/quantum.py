@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .classical import ebk_actions, h2_actions
-from .model import ModelParams, PerturbationSeries, QuantumNumbers, validate
+from .model import ModelParams, PerturbationSeries, QuantumNumbers
 
 # Per-mode step stencil allowed by the ladder-operator selection rules.
 _STEPS = (-2, 0, 2)
@@ -54,7 +54,6 @@ def v_matrix_element(key: MatrixElementKey, hbar: float) -> float:
 
 def e0_quantum(n: QuantumNumbers, params: ModelParams) -> float:
     """Unperturbed level hbar*[omega1*(n1 + 1/2) + omega2*(n2 + 1/2)]."""
-    validate(params)
     return params.hbar * (
         params.omega1 * (n.n1 + 0.5) + params.omega2 * (n.n2 + 0.5)
     )
@@ -71,7 +70,6 @@ def e2_quantum_closed(n: QuantumNumbers, params: ModelParams) -> float:
     The terms are accumulated with math.fsum so the cancellation does not
     cost the 1e-12 agreement with the brute-force sum.
     """
-    validate(params)
     n1, n2 = n.n1, n.n2
     w1, w2 = params.omega1, params.omega2
     terms = (
@@ -94,7 +92,6 @@ def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:
     produce a negative quantum number carry a vanishing matrix element
     and are skipped.  Independent oracle for e2_quantum_closed.
     """
-    validate(params)
     hbar = params.hbar
     terms = []
     for d1 in _STEPS:
@@ -120,7 +117,6 @@ def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:
 
     Linear in both quantum numbers; enters the energy as g^2 * hbar^2 * Q2.
     """
-    validate(params)
     return -3.0 / 32.0 * (
         (n.n1 - n.n2) * params.hbar / (params.omega1 - params.omega2)
         + (n.n1 + n.n2 + 1) * params.hbar / (params.omega1 + params.omega2)
@@ -129,7 +125,6 @@ def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:
 
 def qp_series(n: QuantumNumbers, params: ModelParams) -> PerturbationSeries:
     """Quantum perturbative level as a series in g."""
-    validate(params)
     return PerturbationSeries(
         e0=e0_quantum(n, params),
         e1=e1_quantum(n, params.hbar),
@@ -151,7 +146,6 @@ class EnergyDecomposition:
 
 def decompose_e2(n: QuantumNumbers, params: ModelParams) -> EnergyDecomposition:
     """Second-order energy as torus-quantized term plus hbar^2 correction."""
-    validate(params)
     return EnergyDecomposition(
         e_semiclassical_2=h2_actions(ebk_actions(n, params.hbar), params),
         q2=q2_correction(n, params),

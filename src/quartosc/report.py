@@ -9,12 +9,13 @@ mean spacing of the lowest 100 exact levels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 from .classical import semiclassical_series
-from .diag import ConvergenceReport, converged_levels
-from .model import ModelParams, QuantumNumbers, validate
+from .diag import ConvergenceReport, SpectrumLevel, converged_levels
+from .model import ModelParams, QuantumNumbers
 from .quantum import qp_series
 
 #: Number of exact levels entering the mean-spacing normalization.
@@ -75,7 +76,6 @@ def comparison_table(
     digits: int = 8,
 ) -> ComparisonTable:
     """Exact vs semiclassical vs perturbative levels, sorted by exact energy."""
-    validate(params)
     k = max(k, SPACING_COUNT, n_rows)
     report = converged_levels(params, k=k, digits=digits)
     energies = [lvl.energy for lvl in report.levels]
@@ -118,15 +118,9 @@ def hbar_scan(
     spacing over the lowest 100 levels, and its own label assignment
     (the energy ordering of the levels changes with hbar).
     """
-    validate(base)
     rows: list[ScanRow] = []
     for hbar in hbars:
-        if hbar <= 0.0:
-            raise ValueError(f"hbar values must be > 0, got {hbar}")
-        params = ModelParams(
-            omega1=base.omega1, omega2=base.omega2, g=base.g, hbar=hbar
-        )
-        table = comparison_table(params, n_rows=n_rows)
+        table = comparison_table(replace(base, hbar=hbar), n_rows=n_rows)
         for rank, row in enumerate(table.rows, start=1):
             rows.append(
                 ScanRow(
@@ -141,54 +135,57 @@ def hbar_scan(
     return tuple(rows)
 
 
-def _fmt_energy(x: float) -> str:
-    return f"{x:#.7g}"
+#: CSV columns, each (header, attribute path on the row, format spec).
+_COMPARISON_COLUMNS = (
+    ("n1", "n.n1", "d"),
+    ("n2", "n.n2", "d"),
+    ("e_exact", "e_exact", "#.7g"),
+    ("e_sc", "e_sc", "#.7g"),
+    ("e_qp", "e_qp", "#.7g"),
+    ("err_sc_over_D", "err_sc", "#.8g"),
+    ("err_qp_over_D", "err_qp", "#.8g"),
+)
+
+_SCAN_COLUMNS = (
+    ("hbar", "hbar", "g"),
+    ("rank", "rank", "d"),
+    ("n1", "n.n1", "d"),
+    ("n2", "n.n2", "d"),
+    ("e_exact", "e_exact", "#.7g"),
+    ("e_sc", "e_sc", "#.7g"),
+    ("err_sc_over_D", "err_sc", "#.8g"),
+)
+
+_LEVEL_COLUMNS = (
+    ("rank", "rank", "d"),
+    ("n1", "assigned.n1", "d"),
+    ("n2", "assigned.n2", "d"),
+    ("energy", "energy", "#.9g"),
+    ("overlap_weight", "overlap_weight", "#.4g"),
+    ("ambiguous", "ambiguous", "d"),
+)
 
 
-def _fmt_error(x: float) -> str:
-    return f"{x:#.8g}"
+def _render_csv(columns: Sequence[tuple[str, str, str]], rows: Sequence[object]) -> str:
+    """Header line plus one line per row, each cell formatted by its column."""
+    if not rows:
+        raise ValueError("no rows to emit")
+    cells = [(attrgetter(path), spec) for _, path, spec in columns]
+    lines = [",".join(header for header, _, _ in columns)]
+    lines.extend(",".join(format(get(row), spec) for get, spec in cells) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def render_comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    if not rows:
-        raise ValueError("no rows to emit")
-    lines = ["n1,n2,e_exact,e_sc,e_qp,err_sc_over_D,err_qp_over_D"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n.n1),
-                    str(row.n.n2),
-                    _fmt_energy(row.e_exact),
-                    _fmt_energy(row.e_sc),
-                    _fmt_energy(row.e_qp),
-                    _fmt_error(row.err_sc),
-                    _fmt_error(row.err_qp),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(_COMPARISON_COLUMNS, rows)
 
 
 def render_scan_csv(rows: Sequence[ScanRow]) -> str:
-    if not rows:
-        raise ValueError("no rows to emit")
-    lines = ["hbar,rank,n1,n2,e_exact,e_sc,err_sc_over_D"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    f"{row.hbar:g}",
-                    str(row.rank),
-                    str(row.n.n1),
-                    str(row.n.n2),
-                    _fmt_energy(row.e_exact),
-                    _fmt_energy(row.e_sc),
-                    _fmt_error(row.err_sc),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render_csv(_SCAN_COLUMNS, rows)
+
+
+def render_levels_csv(levels: Sequence[SpectrumLevel]) -> str:
+    return _render_csv(_LEVEL_COLUMNS, levels)
 
 
 def emit_csv(rows: Sequence[ComparisonRow], destination: str) -> None:

@@ -102,6 +102,38 @@ def test_scan_hbar_rejects_negative(capsys):
     assert "hbars" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "--g", "nan"],
+        ["levels", "--omega1", "nan"],
+        ["levels", "--omega2", "inf"],
+        ["levels", "--hbar", "inf"],
+        ["scan-hbar", "--hbars", "nan"],
+        ["levels", "--k", "1.5"],
+        ["levels", "--k", "0"],
+        ["levels", "--k", "-3"],
+        ["levels", "--digits", "0"],
+        ["compare", "--k", "1.5"],
+        ["compare", "--rows", "0"],
+        ["scan-hbar", "--rows", "0"],
+        ["levels", "--k", "3", "--digits", "16"],
+        ["levels", "--config", b"k=1.5\n"],
+        ["levels", "--config", b"g=\xe9\n"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    if isinstance(argv[-1], bytes):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(argv[-1])
+        argv = argv[:-1] + [str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_config_file_with_flag_precedence(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("g=0\nk=4\n")

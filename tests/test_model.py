@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from quartosc.model import (
+    DEFAULT_PARAMS,
     ModelError,
     ModelParams,
     NegativeCoupling,
@@ -37,15 +39,29 @@ def test_zero_coupling_accepted():
 @pytest.mark.parametrize(
     "params, error",
     [
-        (ModelParams(omega1=0.0, omega2=1.5), NonPositiveParameter),
-        (ModelParams(omega1=1.0, omega2=-2.0), NonPositiveParameter),
-        (ModelParams(omega1=1.0, omega2=1.5, hbar=0.0), NonPositiveParameter),
-        (ModelParams(omega1=1.0, omega2=1.5, g=-0.1), NegativeCoupling),
+        (dict(omega1=0.0, omega2=1.5), NonPositiveParameter),
+        (dict(omega1=1.0, omega2=-2.0), NonPositiveParameter),
+        (dict(omega1=1.0, omega2=1.5, hbar=0.0), NonPositiveParameter),
+        (dict(omega1=1.0, omega2=1.5, g=-0.1), NegativeCoupling),
     ],
 )
 def test_invalid_parameters_rejected(params, error):
     with pytest.raises(error):
-        validate(params)
+        validate(ModelParams(**params))
+
+
+@pytest.mark.parametrize("field", ["omega1", "omega2", "g", "hbar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected_at_construction(field, value):
+    kwargs = dict(omega1=1.0, omega2=math.sqrt(2.0), g=0.1, hbar=1.0)
+    kwargs[field] = value
+    with pytest.raises(ModelError, match=field):
+        ModelParams(**kwargs)
+
+
+def test_replace_revalidates():
+    with pytest.raises(NegativeCoupling):
+        dataclasses.replace(DEFAULT_PARAMS, g=-0.1)
 
 
 def test_validate_idempotent():

@@ -190,10 +190,6 @@ def test_hbar_scaling_of_series_orders():
 
 
 def test_resonant_input_rejected():
-    resonant = ModelParams(omega1=1.0, omega2=1.0, g=0.1, hbar=1.0)
-    with pytest.raises(ResonantFrequencies):
-        e2_quantum_closed(QuantumNumbers(0, 0), resonant)
-    with pytest.raises(ResonantFrequencies):
-        q2_correction(QuantumNumbers(0, 0), resonant)
-    with pytest.raises(ResonantFrequencies):
-        qp_series(QuantumNumbers(0, 0), resonant)
+    for series in (e2_quantum_closed, q2_correction, qp_series):
+        with pytest.raises(ResonantFrequencies):
+            series(QuantumNumbers(0, 0), ModelParams(omega1=1.0, omega2=1.0, g=0.1, hbar=1.0))
