@@ -15,9 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ModelError, ModelParams, QuantumNumbers
-from .quantum import MatrixElementKey, e0_quantum, v_matrix_element
-
-_STEPS = ((-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2, 2))
+from .quantum import _STEPS, STENCIL, ladder_factor
 
 #: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
 SCHEDULE_START = 14
@@ -38,6 +36,10 @@ class BudgetExceeded(RuntimeError):
 
 class UnresolvableDigits(ModelError):
     """The digit target is finer than double precision resolves."""
+
+
+class MatrixOverflow(ModelError):
+    """g or hbar is so large that the Hamiltonian overflows double precision."""
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,31 @@ def split_parity_blocks(basis: BasisSpec) -> list[ParityBlock]:
 
 
 def _assemble(states: tuple[tuple[int, int], ...], params: ModelParams) -> np.ndarray:
-    """Dense symmetric Hamiltonian over an arbitrary state list."""
-    index = {s: i for i, s in enumerate(states)}
-    h = np.zeros((len(states), len(states)))
+    """Dense symmetric Hamiltonian over an arbitrary state list.
+
+    Each stencil step fills its entries at once via a padded (n1, n2) -> index
+    lookup, in the product order of v_matrix_element and e0_quantum, so each
+    entry is bitwise theirs.  Raises MatrixOverflow if an entry is not finite.
+    """
+    n1, n2 = np.array(states, dtype=np.int64).reshape(-1, 2).T
+    rows = np.arange(len(states))
+    width = n2.max(initial=0) + 5
+    at = (n1 + 2) * width + n2 + 2
+    lookup = np.full((n1.max(initial=0) + 5) * width, -1)
+    lookup[at] = rows
+    f1 = {d: ladder_factor(n1, d) for d in _STEPS}
+    f2 = {d: ladder_factor(n2, d) for d in _STEPS}
     g, hbar = params.g, params.hbar
-    for i, (n1, n2) in enumerate(states):
-        ket = QuantumNumbers(n1, n2)
-        h[i, i] = e0_quantum(ket, params) + g * v_matrix_element(
-            MatrixElementKey(ket, ket), hbar
-        )
-        for d1, d2 in _STEPS:
-            m = (n1 + d1, n2 + d2)
-            j = index.get(m)
-            if j is not None:
-                h[i, j] = g * v_matrix_element(
-                    MatrixElementKey(QuantumNumbers(*m), ket), hbar
-                )
+    h = np.zeros((len(states), len(states)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d1, d2 in STENCIL:
+            cols = lookup[at + d1 * width + d2]
+            hit = cols >= 0
+            h[rows[hit], cols[hit]] = g * (0.25 * hbar * hbar * f1[d1][hit] * f2[d2][hit])
+        h[rows, rows] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5))
+    # Every entry is >= 0 or nan, and max propagates nan: one finite max clears them all.
+    if not np.isfinite(h.max(initial=0.0)):
+        raise MatrixOverflow(f"the Hamiltonian overflows double precision at g={g}, hbar={hbar}")
     return h
 
 
@@ -110,22 +121,22 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     return _assemble(basis.states, params)
 
 
-def symmetric_eigenvalues(matrix: np.ndarray, want_vectors: bool = False):
+def symmetric_eigenvalues(matrix: np.ndarray, want_vectors: bool = False, lowest: int = 0):
     """Ascending eigenvalues of a real symmetric matrix, optionally with vectors.
 
     Backed by the LAPACK dense symmetric solver (Householder reduction
     plus implicit-shift iteration), which is deterministic for a fixed
-    input.  Eigenvectors come back orthonormal, one per column.
+    input.  Eigenvectors come back orthonormal, one per column.  A
+    positive lowest limits the solve to that many lowest eigenpairs.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix is not symmetric")
+    subset = (0, lowest - 1) if lowest > 0 else None
     try:
-        if want_vectors:
-            return scipy.linalg.eigh(matrix)
-        return scipy.linalg.eigvalsh(matrix)
+        return scipy.linalg.eigh(matrix, eigvals_only=not want_vectors, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -158,18 +169,14 @@ class ConvergenceReport:
     history: tuple[tuple[int, float], ...]
 
 
-def _block_spectra(params: ModelParams, n_max: int, want_vectors: bool):
-    """Per-parity-block spectra for the square cut at n_max."""
+def _block_spectra(params: ModelParams, n_max: int):
+    """Per-parity-block (eigenvalues, matrix, states) for the square cut at n_max."""
     basis = build_basis(n_max)
     out = []
     for block in split_parity_blocks(basis):
         states = tuple(basis.states[i] for i in block.indices)
         h = _assemble(states, params)
-        if want_vectors:
-            w, v = symmetric_eigenvalues(h, want_vectors=True)
-            out.append((w, v, states))
-        else:
-            out.append((symmetric_eigenvalues(h), None, states))
+        out.append((symmetric_eigenvalues(h), h, states))
     return out
 
 
@@ -233,8 +240,9 @@ def converged_levels(
 
     The stopping rule compares consecutive schedule steps level by level
     against the mixed threshold 0.5 * 10^-digits * max(1, |E|); the
-    reported levels (with labels from the dominant eigenvector weight)
-    come from the final step.  Raises BudgetExceeded past n_max_cap, and
+    reported levels come from the final step, labelled by the dominant
+    weight of eigenvectors solved on its retained block matrices for the
+    k lowest levels only.  Raises BudgetExceeded past n_max_cap, and
     UnresolvableDigits at the first step where the smallest threshold is
     no larger than 10 * eps * max|E|, the eigensolver's rounding scale.
     """
@@ -250,7 +258,8 @@ def converged_levels(
     previous = None
     history: list[tuple[int, float]] = []
     while n_max <= n_max_cap:
-        spectrum = _merged_values(_block_spectra(params, n_max, want_vectors=False))
+        spectra = _block_spectra(params, n_max)
+        spectrum = _merged_values(spectra)
         values = spectrum[:k]
         threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
         resolution = 10.0 * np.finfo(float).eps * float(np.abs(spectrum).max())
@@ -263,13 +272,20 @@ def converged_levels(
             delta = np.abs(values - previous)
             history.append((n_max, float(delta.max())))
             if bool(np.all(delta < threshold)):
-                spectra = _block_spectra(params, n_max, want_vectors=True)
+                # Vectors for each block's levels up to the k-th; ties past k are cut by assign.
+                shares = [int(np.searchsorted(w, values[-1], side="right")) for w, _, _ in spectra]
+                spectra = [
+                    (w[:c], symmetric_eigenvalues(h, True, lowest=c)[1], states)
+                    for (w, h, states), c in zip(spectra, shares)
+                    if c
+                ]
                 return ConvergenceReport(
                     final_n_max=n_max,
                     levels=assign_quantum_numbers(spectra, k),
                     history=tuple(history),
                 )
         previous = values
+        del spectra  # release this step's matrices before the next step assembles
         n_max += SCHEDULE_STEP
     raise BudgetExceeded(
         f"first {k} levels not converged to {digits} digits by n_max={n_max_cap}"
@@ -280,7 +296,6 @@ def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     """Write nonzero entries as "row col value" lines, 0-based, 17 significant digits."""
     matrix = np.asarray(matrix)
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                if matrix[i, j] != 0.0:
-                    fh.write(f"{i} {j} {matrix[i, j]:.17g}\n")
+        for i, row in enumerate(matrix):
+            cols = np.flatnonzero(row)  # row by row: no matrix-sized temporaries
+            fh.writelines(f"{i} {j} {v:.17g}\n" for j, v in zip(cols.tolist(), row[cols].tolist()))

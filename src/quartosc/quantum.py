@@ -14,11 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classical import ebk_actions, h2_actions
 from .model import ModelParams, PerturbationSeries, QuantumNumbers
 
 # Per-mode step stencil allowed by the ladder-operator selection rules.
 _STEPS = (-2, 0, 2)
+#: Two-mode steps (bra - ket) of the nonzero coupling elements, (0, 0) included.
+STENCIL = tuple((d1, d2) for d1 in _STEPS for d2 in _STEPS)
 
 
 @dataclass(frozen=True)
@@ -29,27 +33,22 @@ class MatrixElementKey:
     ket: QuantumNumbers
 
 
-def _ladder_factor(m: int, n: int) -> float:
-    """Single-mode factor of <m|(a + a^+)^2|n>."""
-    if m == n - 2:
-        return math.sqrt(n * (n - 1))
-    if m == n + 2:
-        return math.sqrt((n + 1) * (n + 2))
-    if m == n:
-        return 2.0 * n + 1.0
-    return 0.0
+def ladder_factor(n: int | np.ndarray, step: int):
+    """Single-mode factor of <n + step|(a + a^+)^2|n>, step in _STEPS; n may be an int array."""
+    if step == -2:
+        return np.sqrt(n * (n - 1))
+    if step == 2:
+        return np.sqrt((n + 1) * (n + 2))
+    return 2.0 * n + 1.0
 
 
 def v_matrix_element(key: MatrixElementKey, hbar: float) -> float:
     """<bra|V|ket> = (hbar^2/4) * factor(n1', n1) * factor(n2', n2)."""
     bra, ket = key.bra, key.ket
-    return (
-        0.25
-        * hbar
-        * hbar
-        * _ladder_factor(bra.n1, ket.n1)
-        * _ladder_factor(bra.n2, ket.n2)
-    )
+    d1, d2 = bra.n1 - ket.n1, bra.n2 - ket.n2
+    if (d1, d2) not in STENCIL:
+        return 0.0
+    return float(0.25 * hbar * hbar * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
 
 
 def e0_quantum(n: QuantumNumbers, params: ModelParams) -> float:
@@ -94,18 +93,13 @@ def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:
     """
     hbar = params.hbar
     terms = []
-    for d1 in _STEPS:
-        for d2 in _STEPS:
-            if d1 == 0 and d2 == 0:
-                continue
-            m1, m2 = n.n1 + d1, n.n2 + d2
-            if m1 < 0 or m2 < 0:
-                continue
-            element = v_matrix_element(
-                MatrixElementKey(QuantumNumbers(m1, m2), n), hbar
-            )
-            denominator = hbar * (-params.omega1 * d1 - params.omega2 * d2)
-            terms.append(element * element / denominator)
+    for d1, d2 in STENCIL:
+        m1, m2 = n.n1 + d1, n.n2 + d2
+        if (d1, d2) == (0, 0) or m1 < 0 or m2 < 0:
+            continue
+        element = v_matrix_element(MatrixElementKey(QuantumNumbers(m1, m2), n), hbar)
+        denominator = hbar * (-params.omega1 * d1 - params.omega2 * d2)
+        terms.append(element * element / denominator)
     return math.fsum(terms)
 
 

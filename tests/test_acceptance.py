@@ -264,7 +264,7 @@ def test_criterion_9_property_suite(default_table):
     # Cauchy interlacing across the basis schedule
     prev = None
     for n_max in (14, 19, 24, 29, 34):
-        values = _merged_values(_block_spectra(PARAMS, n_max, want_vectors=False))[:100]
+        values = _merged_values(_block_spectra(PARAMS, n_max))[:100]
         if prev is not None:
             assert np.all(values <= prev + 1e-12)
         prev = values
@@ -272,7 +272,7 @@ def test_criterion_9_property_suite(default_table):
     # parity blocks reproduce the whole-matrix spectrum
     for n_max in (6, 10):
         full = symmetric_eigenvalues(assemble_hamiltonian(build_basis(n_max), PARAMS))
-        merged = _merged_values(_block_spectra(PARAMS, n_max, want_vectors=False))
+        merged = _merged_values(_block_spectra(PARAMS, n_max))
         np.testing.assert_allclose(merged, full, atol=1e-12)
 
     # g = 0 gives the analytic harmonic spectrum

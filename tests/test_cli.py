@@ -120,6 +120,8 @@ def test_scan_hbar_rejects_negative(capsys):
         ["levels", "--k", "3", "--digits", "16"],
         ["levels", "--config", b"k=1.5\n"],
         ["levels", "--config", b"g=\xe9\n"],
+        ["levels", "--k", "3", "--g", "1e308"],
+        ["levels", "--k", "3", "--hbar", "1e200"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):

@@ -3,22 +3,57 @@ import math
 import numpy as np
 import pytest
 
+from quartosc import diag
 from quartosc.diag import (
     BudgetExceeded,
+    MatrixOverflow,
+    _assemble,
     _block_spectra,
     _merged_values,
     assemble_hamiltonian,
+    assign_quantum_numbers,
     build_basis,
     converged_levels,
     dump_matrix_triplets,
     split_parity_blocks,
     symmetric_eigenvalues,
 )
-from quartosc.model import ModelParams, QuantumNumbers
-from quartosc.quantum import e0_quantum
+from quartosc.model import DEFAULT_PARAMS, ModelParams, QuantumNumbers
+from quartosc.quantum import MatrixElementKey, e0_quantum, v_matrix_element
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
+
+_LOOP_STEPS = ((-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2, 2))
+
+
+def _assemble_loop(states, params):
+    """Element-by-element Hamiltonian through the scalar kernel: the oracle for _assemble."""
+    index = {s: i for i, s in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    g, hbar = params.g, params.hbar
+    for i, (n1, n2) in enumerate(states):
+        ket = QuantumNumbers(n1, n2)
+        h[i, i] = e0_quantum(ket, params) + g * v_matrix_element(
+            MatrixElementKey(ket, ket), hbar
+        )
+        for d1, d2 in _LOOP_STEPS:
+            m = (n1 + d1, n2 + d2)
+            j = index.get(m)
+            if j is not None:
+                h[i, j] = g * v_matrix_element(
+                    MatrixElementKey(QuantumNumbers(*m), ket), hbar
+                )
+    return h
+
+
+def _dump_loop(matrix, path):
+    """Entry-by-entry triplet writer: the oracle for dump_matrix_triplets."""
+    with open(path, "w", encoding="ascii") as fh:
+        for i in range(matrix.shape[0]):
+            for j in range(matrix.shape[1]):
+                if matrix[i, j] != 0.0:
+                    fh.write(f"{i} {j} {matrix[i, j]:.17g}\n")
 
 
 def test_basis_dimensions():
@@ -75,6 +110,28 @@ def test_no_cross_block_coupling():
                 assert h[i, j] == 0.0
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 14, 34])
+@pytest.mark.parametrize(
+    "params",
+    [DEFAULT_PARAMS, ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1)],
+    ids=["default", "sqrt3"],
+)
+def test_array_kernel_is_bitwise_the_loop(n_max, params):
+    basis = build_basis(n_max)
+    state_lists = [basis.states] + [
+        tuple(basis.states[i] for i in block.indices) for block in split_parity_blocks(basis)
+    ]
+    for states in state_lists:
+        assert np.array_equal(_assemble(states, params), _assemble_loop(states, params))
+
+
+@pytest.mark.parametrize("field, value", [("g", 1e308), ("hbar", 1e200)])
+def test_overflowing_hamiltonian_rejected(field, value):
+    params = ModelParams(**{"omega1": 1.0, "omega2": SQRT2, field: value})
+    with pytest.raises(MatrixOverflow):
+        assemble_hamiltonian(build_basis(2), params)
+
+
 def test_eigenvalues_2x2_closed_form():
     a, b = 3.0, -1.5
     w = symmetric_eigenvalues(np.array([[a, b], [b, a]]))
@@ -104,7 +161,7 @@ def test_eigenvector_residual_and_orthonormality():
 def test_block_spectra_match_full_matrix():
     h = assemble_hamiltonian(build_basis(6), PARAMS)
     full = symmetric_eigenvalues(h)
-    merged = _merged_values(_block_spectra(PARAMS, 6, want_vectors=False))
+    merged = _merged_values(_block_spectra(PARAMS, 6))
     np.testing.assert_allclose(merged, full, atol=1e-12)
 
 
@@ -112,7 +169,7 @@ def test_interlacing_across_nested_bases():
     k = 100
     prev = None
     for n_max in (14, 19, 24, 29):
-        values = _merged_values(_block_spectra(PARAMS, n_max, want_vectors=False))[:k]
+        values = _merged_values(_block_spectra(PARAMS, n_max))[:k]
         if prev is not None:
             assert np.all(values <= prev + 1e-12)
         prev = values
@@ -124,6 +181,39 @@ def test_converged_levels_reference_run(default_table):
     assert report.levels[0].energy == pytest.approx(1.230722, abs=5e-6)
     assert report.levels[1].energy == pytest.approx(2.275974, abs=5e-6)
     assert [lvl.rank for lvl in report.levels[:3]] == [1, 2, 3]
+
+
+def test_each_schedule_step_solved_once(monkeypatch):
+    assembled, solves = [], []
+    original_assemble, original_solve = diag._assemble, diag.symmetric_eigenvalues
+
+    def spy_assemble(states, params):
+        h = original_assemble(states, params)
+        assembled.append((states, h))
+        return h
+
+    def spy_solve(matrix, want_vectors=False, lowest=0):
+        solves.append((want_vectors, lowest))
+        return original_solve(matrix, want_vectors, lowest=lowest)
+
+    monkeypatch.setattr(diag, "_assemble", spy_assemble)
+    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    report = converged_levels(DEFAULT_PARAMS)
+    monkeypatch.undo()
+
+    assert len(report.history) + 1 == 5
+    assert len(assembled) == 20
+    assert [lowest for vectors, lowest in solves if not vectors] == [0] * 20
+    shares = [lowest for vectors, lowest in solves if vectors]
+    assert len(shares) <= 4 and sum(shares) == 100
+
+    full = [(*symmetric_eigenvalues(h, True), states) for states, h in assembled[-4:]]
+    relabelled = assign_quantum_numbers(full, 100)
+    assert [lvl.assigned for lvl in report.levels] == [lvl.assigned for lvl in relabelled]
+    assert [lvl.ambiguous for lvl in report.levels] == [lvl.ambiguous for lvl in relabelled]
+    for got, want in zip(report.levels, relabelled):
+        assert got.energy == pytest.approx(want.energy, rel=1e-13)
+        assert got.overlap_weight == pytest.approx(want.overlap_weight, abs=1e-10)
 
 
 def test_converged_levels_zero_coupling():
@@ -174,3 +264,11 @@ def test_matrix_dump_round_trips(tmp_path):
         i, j, v = line.split()
         rebuilt[int(i), int(j)] = float(v)
     np.testing.assert_array_equal(rebuilt, h)
+
+
+def test_matrix_dump_matches_entrywise_writer(tmp_path):
+    h = assemble_hamiltonian(build_basis(6), PARAMS)
+    h[0, 1] = -0.0
+    dump_matrix_triplets(h, str(tmp_path / "fast.txt"))
+    _dump_loop(h, str(tmp_path / "loop.txt"))
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
