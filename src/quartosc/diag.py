@@ -1,21 +1,26 @@
 """Numerically "exact" levels by truncated-basis diagonalization.
 
 The two-mode number basis is cut per mode at n_max, giving dimension
-(n_max + 1)^2.  The selection rules Delta n in {0, +2, -2} preserve the
-per-mode parities, so the Hamiltonian splits into four independent
-blocks; the driver diagonalizes block by block and enlarges the basis
-until the requested number of levels stops moving at the digit target.
+(n_max + 1)^2.  In ladder operators H = H0 + g (hbar^2/4) X1 (x) X2, where
+X = (a + a^+)^2 acts on one mode and steps n by 0 or +-2.  The coupling
+therefore preserves the per-mode parities, and every basis here is a
+tensor grid: the square cut is range(n_max + 1) per mode, and its four
+parity blocks are the even or odd numbers of each mode.  The Hamiltonian
+of a grid is assembled from the two single-mode X matrices;
+converged_levels diagonalizes block by block and enlarges the basis until
+the requested number of levels stops moving at the digit target.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .model import ModelError, ModelParams, QuantumNumbers
-from .quantum import _STEPS, STENCIL, ladder_factor
+from .quantum import ladder_factor
 
 #: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
 SCHEDULE_START = 14
@@ -44,81 +49,68 @@ class MatrixOverflow(ModelError):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Per-mode truncated basis, states enumerated (n1, n2) lexicographically."""
+    """Tensor grid of states (n1, n2), n1 in modes1 and n2 in modes2, enumerated n1-major."""
 
-    n_max: int
-    states: tuple[tuple[int, int], ...]
+    modes1: range
+    modes2: range
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return len(self.modes1) * len(self.modes2)
+
+    @property
+    def states(self) -> tuple[tuple[int, int], ...]:
+        return tuple(itertools.product(self.modes1, self.modes2))
 
 
 def build_basis(n_max: int) -> BasisSpec:
     """All (n1, n2) with 0 <= n_k <= n_max, lexicographic order."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    states = tuple(
-        (n1, n2) for n1 in range(n_max + 1) for n2 in range(n_max + 1)
-    )
-    return BasisSpec(n_max=n_max, states=states)
+    return BasisSpec(range(n_max + 1), range(n_max + 1))
 
 
-@dataclass(frozen=True)
-class ParityBlock:
-    """Indices of basis states with fixed (n1 mod 2, n2 mod 2)."""
-
-    parity1: int
-    parity2: int
-    indices: tuple[int, ...]
+def split_parity_blocks(basis: BasisSpec) -> list[BasisSpec]:
+    """The square cut's parity classes (n1 mod 2, n2 mod 2): (0,0), (0,1), (1,0), (1,1)."""
+    return [
+        BasisSpec(basis.modes1[p1::2], basis.modes2[p2::2]) for p1 in (0, 1) for p2 in (0, 1)
+    ]
 
 
-def split_parity_blocks(basis: BasisSpec) -> list[ParityBlock]:
-    """Partition of the basis into the four parity classes."""
-    blocks = []
-    for p1 in (0, 1):
-        for p2 in (0, 1):
-            indices = tuple(
-                i
-                for i, (n1, n2) in enumerate(basis.states)
-                if n1 % 2 == p1 and n2 % 2 == p2
-            )
-            blocks.append(ParityBlock(parity1=p1, parity2=p2, indices=indices))
-    return blocks
+def _mode_matrix(modes: range) -> np.ndarray:
+    """<m|(a + a^+)^2|n> for m, n in modes, each entry ladder_factor(n, m - n)."""
+    n = np.array(modes, dtype=np.int64)
+    step = n[:, None] - n
+    x = np.zeros(step.shape)
+    for d in (-2, 0, 2):
+        bra, ket = np.nonzero(step == d)
+        x[bra, ket] = ladder_factor(n[ket], d)
+    return x
 
 
-def _assemble(states: tuple[tuple[int, int], ...], params: ModelParams) -> np.ndarray:
-    """Dense symmetric Hamiltonian over an arbitrary state list.
+def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
+    """Dense symmetric Hamiltonian over a tensor-grid basis.
 
-    Each stencil step fills its entries at once via a padded (n1, n2) -> index
-    lookup, in the product order of v_matrix_element and e0_quantum, so each
-    entry is bitwise theirs.  Raises MatrixOverflow if an entry is not finite.
+    Writes g (hbar^2/4) X1 (x) X2 one nonzero X1 tile at a time, then adds
+    e0 to the diagonal, in the product order of v_matrix_element and
+    e0_quantum, so each entry is bitwise theirs.  Raises MatrixOverflow if
+    an entry is not finite.
     """
-    n1, n2 = np.array(states, dtype=np.int64).reshape(-1, 2).T
-    rows = np.arange(len(states))
-    width = n2.max(initial=0) + 5
-    at = (n1 + 2) * width + n2 + 2
-    lookup = np.full((n1.max(initial=0) + 5) * width, -1)
-    lookup[at] = rows
-    f1 = {d: ladder_factor(n1, d) for d in _STEPS}
-    f2 = {d: ladder_factor(n2, d) for d in _STEPS}
+    x1, x2 = _mode_matrix(basis.modes1), _mode_matrix(basis.modes2)
+    m1, m2 = len(x1), len(x2)
     g, hbar = params.g, params.hbar
-    h = np.zeros((len(states), len(states)))
+    h = np.zeros((m1, m2, m1, m2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for d1, d2 in STENCIL:
-            cols = lookup[at + d1 * width + d2]
-            hit = cols >= 0
-            h[rows[hit], cols[hit]] = g * (0.25 * hbar * hbar * f1[d1][hit] * f2[d2][hit])
-        h[rows, rows] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5))
+        for i, j in zip(*np.nonzero(x1)):
+            h[i, :, j, :] = g * (0.25 * hbar * hbar * x1[i, j] * x2)
+        h = h.reshape(m1 * m2, m1 * m2)
+        n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
+        e0 = hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5))
+        h[np.diag_indices(m1 * m2)] += e0.ravel()
     # Every entry is >= 0 or nan, and max propagates nan: one finite max clears them all.
     if not np.isfinite(h.max(initial=0.0)):
         raise MatrixOverflow(f"the Hamiltonian overflows double precision at g={g}, hbar={hbar}")
     return h
-
-
-def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
-    """Full truncated Hamiltonian matrix; real symmetric by construction."""
-    return _assemble(basis.states, params)
 
 
 def symmetric_eigenvalues(matrix: np.ndarray, want_vectors: bool = False, lowest: int = 0):
@@ -170,13 +162,11 @@ class ConvergenceReport:
 
 
 def _block_spectra(params: ModelParams, n_max: int):
-    """Per-parity-block (eigenvalues, matrix, states) for the square cut at n_max."""
-    basis = build_basis(n_max)
+    """Per-parity-block (eigenvalues, matrix, block) for the square cut at n_max."""
     out = []
-    for block in split_parity_blocks(basis):
-        states = tuple(basis.states[i] for i in block.indices)
-        h = _assemble(states, params)
-        out.append((symmetric_eigenvalues(h), h, states))
+    for block in split_parity_blocks(build_basis(n_max)):
+        h = assemble_hamiltonian(block, params)
+        out.append((symmetric_eigenvalues(h), h, block))
     return out
 
 
@@ -187,13 +177,15 @@ def _merged_values(spectra) -> np.ndarray:
 def assign_quantum_numbers(spectra, k: int) -> tuple[SpectrumLevel, ...]:
     """Label the k lowest levels by dominant basis-state weight.
 
+    spectra holds, per block, (eigenvalues, eigenvector columns, BasisSpec).
     Each level first claims the basis state carrying its largest squared
     eigenvector component.  When two levels claim the same state the
     larger weight wins and the loser moves to its next-best unclaimed
     state, so the final label set has no duplicates.
     """
     entries = []  # (energy, squared weights, block states)
-    for w, v, states in spectra:
+    for w, v, block in spectra:
+        states = block.states
         for j in range(len(w)):
             entries.append((float(w[j]), v[:, j] ** 2, states))
     entries.sort(key=lambda e: e[0])
@@ -275,8 +267,8 @@ def converged_levels(
                 # Vectors for each block's levels up to the k-th; ties past k are cut by assign.
                 shares = [int(np.searchsorted(w, values[-1], side="right")) for w, _, _ in spectra]
                 spectra = [
-                    (w[:c], symmetric_eigenvalues(h, True, lowest=c)[1], states)
-                    for (w, h, states), c in zip(spectra, shares)
+                    (w[:c], symmetric_eigenvalues(h, True, lowest=c)[1], block)
+                    for (w, h, block), c in zip(spectra, shares)
                     if c
                 ]
                 return ConvergenceReport(

@@ -25,14 +25,6 @@ _STEPS = (-2, 0, 2)
 STENCIL = tuple((d1, d2) for d1 in _STEPS for d2 in _STEPS)
 
 
-@dataclass(frozen=True)
-class MatrixElementKey:
-    """Bra/ket label pair for one coupling matrix element."""
-
-    bra: QuantumNumbers
-    ket: QuantumNumbers
-
-
 def ladder_factor(n: int | np.ndarray, step: int):
     """Single-mode factor of <n + step|(a + a^+)^2|n>, step in _STEPS; n may be an int array."""
     if step == -2:
@@ -42,9 +34,8 @@ def ladder_factor(n: int | np.ndarray, step: int):
     return 2.0 * n + 1.0
 
 
-def v_matrix_element(key: MatrixElementKey, hbar: float) -> float:
+def v_matrix_element(bra: QuantumNumbers, ket: QuantumNumbers, hbar: float) -> float:
     """<bra|V|ket> = (hbar^2/4) * factor(n1', n1) * factor(n2', n2)."""
-    bra, ket = key.bra, key.ket
     d1, d2 = bra.n1 - ket.n1, bra.n2 - ket.n2
     if (d1, d2) not in STENCIL:
         return 0.0
@@ -97,7 +88,7 @@ def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:
         m1, m2 = n.n1 + d1, n.n2 + d2
         if (d1, d2) == (0, 0) or m1 < 0 or m2 < 0:
             continue
-        element = v_matrix_element(MatrixElementKey(QuantumNumbers(m1, m2), n), hbar)
+        element = v_matrix_element(QuantumNumbers(m1, m2), n, hbar)
         denominator = hbar * (-params.omega1 * d1 - params.omega2 * d2)
         terms.append(element * element / denominator)
     return math.fsum(terms)

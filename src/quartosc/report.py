@@ -188,14 +188,11 @@ def render_levels_csv(levels: Sequence[SpectrumLevel]) -> str:
     return _render_csv(_LEVEL_COLUMNS, levels)
 
 
-def emit_csv(rows: Sequence[ComparisonRow], destination: str) -> None:
-    """Write the comparison table as CSV; deterministic byte output."""
-    text = render_comparison_csv(rows)
-    _write(text, destination)
-
-
 def emit_json(table: ComparisonTable, destination: str) -> None:
-    """JSON variant of the comparison table plus convergence metadata."""
+    """JSON variant of the comparison table plus convergence metadata.
+
+    Each row holds the comparison CSV's columns, keyed by their headers.
+    """
     payload = {
         "spacing": {"d": table.spacing.d, "count": table.spacing.count},
         "convergence": {
@@ -206,15 +203,7 @@ def emit_json(table: ComparisonTable, destination: str) -> None:
             ],
         },
         "rows": [
-            {
-                "n1": row.n.n1,
-                "n2": row.n.n2,
-                "e_exact": row.e_exact,
-                "e_sc": row.e_sc,
-                "e_qp": row.e_qp,
-                "err_sc_over_D": row.err_sc,
-                "err_qp_over_D": row.err_qp,
-            }
+            {header: attrgetter(path)(row) for header, path, _ in _COMPARISON_COLUMNS}
             for row in table.rows
         ],
     }

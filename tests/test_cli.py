@@ -79,6 +79,15 @@ def test_compare_output_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_out_file_is_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    _, out, _ = run(capsys, "compare", "--rows", "3")
+    code, echoed, _ = run(capsys, "compare", "--rows", "3", "--out", str(path))
+    assert code == 0
+    assert echoed == ""
+    assert path.read_bytes() == out.encode("ascii")
+
+
 def test_compare_json_metadata(capsys, tmp_path):
     import json
 

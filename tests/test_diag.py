@@ -7,7 +7,6 @@ from quartosc import diag
 from quartosc.diag import (
     BudgetExceeded,
     MatrixOverflow,
-    _assemble,
     _block_spectra,
     _merged_values,
     assemble_hamiltonian,
@@ -19,7 +18,7 @@ from quartosc.diag import (
     symmetric_eigenvalues,
 )
 from quartosc.model import DEFAULT_PARAMS, ModelParams, QuantumNumbers
-from quartosc.quantum import MatrixElementKey, e0_quantum, v_matrix_element
+from quartosc.quantum import e0_quantum, v_matrix_element
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
@@ -28,23 +27,34 @@ _LOOP_STEPS = ((-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2,
 
 
 def _assemble_loop(states, params):
-    """Element-by-element Hamiltonian through the scalar kernel: the oracle for _assemble."""
+    """Element-by-element Hamiltonian through the scalar kernel.
+
+    The oracle for assemble_hamiltonian.
+    """
     index = {s: i for i, s in enumerate(states)}
     h = np.zeros((len(states), len(states)))
     g, hbar = params.g, params.hbar
     for i, (n1, n2) in enumerate(states):
         ket = QuantumNumbers(n1, n2)
-        h[i, i] = e0_quantum(ket, params) + g * v_matrix_element(
-            MatrixElementKey(ket, ket), hbar
-        )
+        h[i, i] = e0_quantum(ket, params) + g * v_matrix_element(ket, ket, hbar)
         for d1, d2 in _LOOP_STEPS:
             m = (n1 + d1, n2 + d2)
             j = index.get(m)
             if j is not None:
-                h[i, j] = g * v_matrix_element(
-                    MatrixElementKey(QuantumNumbers(*m), ket), hbar
-                )
+                h[i, j] = g * v_matrix_element(QuantumNumbers(*m), ket, hbar)
     return h
+
+
+def _parity_scan(states):
+    """States of each parity class (n1 mod 2, n2 mod 2), scanned in order.
+
+    The oracle for split_parity_blocks.
+    """
+    return [
+        tuple(s for s in states if s[0] % 2 == p1 and s[1] % 2 == p2)
+        for p1 in (0, 1)
+        for p2 in (0, 1)
+    ]
 
 
 def _dump_loop(matrix, path):
@@ -92,12 +102,24 @@ def test_matrix_is_exactly_symmetric():
 
 def test_parity_block_sizes():
     blocks = split_parity_blocks(build_basis(34))
-    sizes = sorted(len(b.indices) for b in blocks)
+    sizes = sorted(b.dimension for b in blocks)
     assert sizes == [289, 306, 306, 324]
     assert sum(sizes) == 1225
 
     blocks0 = split_parity_blocks(build_basis(0))
-    assert sorted(len(b.indices) for b in blocks0) == [0, 0, 0, 1]
+    assert sorted(b.dimension for b in blocks0) == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 14, 34])
+def test_parity_split_is_the_modulo_scan(n_max):
+    basis = build_basis(n_max)
+    lexicographic = tuple((n1, n2) for n1 in range(n_max + 1) for n2 in range(n_max + 1))
+    assert basis.states == lexicographic
+    blocks = split_parity_blocks(basis)
+    assert [b.states for b in blocks] == _parity_scan(lexicographic)
+    merged = [s for b in blocks for s in b.states]
+    assert sorted(merged) == list(lexicographic)
+    assert sum(b.dimension for b in blocks) == basis.dimension
 
 
 def test_no_cross_block_coupling():
@@ -110,7 +132,7 @@ def test_no_cross_block_coupling():
                 assert h[i, j] == 0.0
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 14, 34])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 14, 34])
 @pytest.mark.parametrize(
     "params",
     [DEFAULT_PARAMS, ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1)],
@@ -118,11 +140,8 @@ def test_no_cross_block_coupling():
 )
 def test_array_kernel_is_bitwise_the_loop(n_max, params):
     basis = build_basis(n_max)
-    state_lists = [basis.states] + [
-        tuple(basis.states[i] for i in block.indices) for block in split_parity_blocks(basis)
-    ]
-    for states in state_lists:
-        assert np.array_equal(_assemble(states, params), _assemble_loop(states, params))
+    for b in [basis] + split_parity_blocks(basis):
+        assert np.array_equal(assemble_hamiltonian(b, params), _assemble_loop(b.states, params))
 
 
 @pytest.mark.parametrize("field, value", [("g", 1e308), ("hbar", 1e200)])
@@ -185,18 +204,18 @@ def test_converged_levels_reference_run(default_table):
 
 def test_each_schedule_step_solved_once(monkeypatch):
     assembled, solves = [], []
-    original_assemble, original_solve = diag._assemble, diag.symmetric_eigenvalues
+    original_assemble, original_solve = diag.assemble_hamiltonian, diag.symmetric_eigenvalues
 
-    def spy_assemble(states, params):
-        h = original_assemble(states, params)
-        assembled.append((states, h))
+    def spy_assemble(block, params):
+        h = original_assemble(block, params)
+        assembled.append((block, h))
         return h
 
     def spy_solve(matrix, want_vectors=False, lowest=0):
         solves.append((want_vectors, lowest))
         return original_solve(matrix, want_vectors, lowest=lowest)
 
-    monkeypatch.setattr(diag, "_assemble", spy_assemble)
+    monkeypatch.setattr(diag, "assemble_hamiltonian", spy_assemble)
     monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
     report = converged_levels(DEFAULT_PARAMS)
     monkeypatch.undo()
@@ -207,7 +226,7 @@ def test_each_schedule_step_solved_once(monkeypatch):
     shares = [lowest for vectors, lowest in solves if vectors]
     assert len(shares) <= 4 and sum(shares) == 100
 
-    full = [(*symmetric_eigenvalues(h, True), states) for states, h in assembled[-4:]]
+    full = [(*symmetric_eigenvalues(h, True), block) for block, h in assembled[-4:]]
     relabelled = assign_quantum_numbers(full, 100)
     assert [lvl.assigned for lvl in report.levels] == [lvl.assigned for lvl in relabelled]
     assert [lvl.ambiguous for lvl in report.levels] == [lvl.ambiguous for lvl in relabelled]

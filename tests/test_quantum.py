@@ -6,7 +6,6 @@ import pytest
 from quartosc.classical import ebk_actions, h0_actions, h1_actions
 from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
 from quartosc.quantum import (
-    MatrixElementKey,
     decompose_e2,
     e0_quantum,
     e1_quantum,
@@ -21,18 +20,18 @@ SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
 
 
-def _key(b1, b2, k1, k2):
-    return MatrixElementKey(QuantumNumbers(b1, b2), QuantumNumbers(k1, k2))
+def _bra_ket(b1, b2, k1, k2):
+    return QuantumNumbers(b1, b2), QuantumNumbers(k1, k2)
 
 
 def test_matrix_element_values():
-    assert v_matrix_element(_key(0, 0, 0, 0), 1.0) == pytest.approx(0.25)
-    assert v_matrix_element(_key(2, 0, 0, 0), 1.0) == pytest.approx(
+    assert v_matrix_element(*_bra_ket(0, 0, 0, 0), 1.0) == pytest.approx(0.25)
+    assert v_matrix_element(*_bra_ket(2, 0, 0, 0), 1.0) == pytest.approx(
         0.25 * math.sqrt(2.0), rel=1e-15
     )
     # odd steps are forbidden
-    assert v_matrix_element(_key(1, 0, 0, 0), 1.0) == 0.0
-    assert v_matrix_element(_key(0, 3, 0, 0), 1.0) == 0.0
+    assert v_matrix_element(*_bra_ket(1, 0, 0, 0), 1.0) == 0.0
+    assert v_matrix_element(*_bra_ket(0, 3, 0, 0), 1.0) == 0.0
 
 
 def test_matrix_element_hermitian():
@@ -43,8 +42,8 @@ def test_matrix_element_hermitian():
         m1, m2 = int(n1 + d1), int(n2 + d2)
         if m1 < 0 or m2 < 0:
             continue
-        a = v_matrix_element(_key(m1, m2, int(n1), int(n2)), 1.0)
-        b = v_matrix_element(_key(int(n1), int(n2), m1, m2), 1.0)
+        a = v_matrix_element(*_bra_ket(m1, m2, int(n1), int(n2)), 1.0)
+        b = v_matrix_element(*_bra_ket(int(n1), int(n2), m1, m2), 1.0)
         assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -60,7 +59,7 @@ def test_first_order_values():
     assert e1_quantum(QuantumNumbers(1, 0), 1.0) == pytest.approx(0.75)
     # equals the diagonal coupling element
     assert e1_quantum(QuantumNumbers(3, 2), 1.0) == pytest.approx(
-        v_matrix_element(_key(3, 2, 3, 2), 1.0)
+        v_matrix_element(*_bra_ket(3, 2, 3, 2), 1.0)
     )
 
 
@@ -110,7 +109,7 @@ def test_ground_state_sum_has_three_terms():
     # Down-steps annihilate the ground state, leaving (2,0), (0,2), (2,2).
     n = QuantumNumbers(0, 0)
     contributions = [
-        v_matrix_element(_key(m1, m2, 0, 0), 1.0)
+        v_matrix_element(*_bra_ket(m1, m2, 0, 0), 1.0)
         for m1 in (0, 2)
         for m2 in (0, 2)
         if (m1, m2) != (0, 0)

@@ -5,7 +5,6 @@ import pytest
 from quartosc.model import ModelParams, QuantumNumbers
 from quartosc.report import (
     InsufficientLevels,
-    emit_csv,
     emit_json,
     hbar_scan,
     mean_level_spacing,
@@ -74,15 +73,11 @@ def test_rows_satisfy_quantum_correction_identity(default_table):
         assert gap == pytest.approx(expected, abs=1e-12)
 
 
-def test_csv_golden_first_line(default_table, tmp_path):
+def test_csv_golden_first_line(default_table):
     text = render_comparison_csv(default_table.rows)
     lines = text.splitlines()
     assert lines[0] == "n1,n2,e_exact,e_sc,e_qp,err_sc_over_D,err_qp_over_D"
     assert lines[1].startswith("0,0,1.230722,1.230910,1.230522,")
-
-    path = tmp_path / "table.csv"
-    emit_csv(default_table.rows, str(path))
-    assert path.read_text() == text
 
 
 def test_csv_deterministic(default_table):
