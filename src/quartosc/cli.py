@@ -60,10 +60,13 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
-    for key in keys:
-        default, _, help_text = _FLAGS[key]
-        parser.add_argument(f"--{key}", help=f"{help_text} (default {default})")
+#: Help of each path flag.  Path flags are command-line only, never from --config.
+_PATHS = {
+    "out": "output CSV path (default: stdout)",
+    "dump-matrix": "also dump the final Hamiltonian as `row col value` triplets",
+    "json": "also write the table plus convergence metadata as JSON",
+    "config": "plain key=value config file; explicit flags take precedence",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,28 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        _add_flags(p, "omega1", "omega2", "g", "hbar", "k", "digits", "rows")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="output CSV path (default: stdout)")
-        p.add_argument("--dump-matrix", default=None, metavar="PATH",
-                       help="also dump the final Hamiltonian as `row col value` triplets")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="plain key=value config file; explicit flags take precedence")
-
-    p_levels = sub.add_parser("levels", help="converged exact levels with labels")
-    add_shared(p_levels)
-
-    p_compare = sub.add_parser("compare", help="exact vs semiclassical vs perturbative table")
-    add_shared(p_compare)
-    p_compare.add_argument("--json", default=None, metavar="PATH",
-                           help="also write the table plus convergence metadata as JSON")
-
-    p_scan = sub.add_parser("scan-hbar", help="semiclassical error across hbar values")
-    add_shared(p_scan)
-    _add_flags(p_scan, "hbars")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # No prefix matching: scan-hbar must not read --hbar as --hbars.
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in flags + ("out", "config"):
+            if key in _FLAGS:
+                default, _, flag_help = _FLAGS[key]
+                command.add_argument(f"--{key}", help=f"{flag_help} (default {default})")
+            else:
+                command.add_argument(f"--{key}", metavar="PATH", help=_PATHS[key])
     return parser
 
 
@@ -120,16 +110,20 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> tuple[ModelParams, dict]:
-    """Model parameters plus every parsed flag value of the command.
+    """Model parameters plus every parsed valued flag of the command.
 
     A value comes from the flag, else from the config file, else from
-    _FLAGS; a value that does not parse is a ModelError naming the flag.
+    _FLAGS; a value that does not parse, or a config key that is not a
+    valued flag of the command, is a ModelError naming it.
     """
+    keys = [key for key in _COMMANDS[args.command][2] if key in _FLAGS]
     config = _load_config(args.config) if args.config else {}
+    for key in config:
+        if key not in keys:
+            raise ModelError(f"config key {key!r} is not a valued flag of {args.command}")
     values = {}
-    for key, (default, parse, _) in _FLAGS.items():
-        if key not in vars(args):
-            continue
+    for key in keys:
+        default, parse, _ = _FLAGS[key]
         text = getattr(args, key)
         if text is None:
             text = config.get(key, default)
@@ -137,9 +131,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, dict]:
             values[key] = parse(text)
         except ValueError as exc:
             raise ModelError(f"bad --{key} value {text!r}: {exc}") from exc
-    params = ModelParams(
-        omega1=values["omega1"], omega2=values["omega2"], g=values["g"], hbar=values["hbar"]
-    )
+    # scan-hbar reads no --hbar; hbar_scan replaces it by each --hbars value.
+    hbar = values["hbar"] if "hbar" in values else values["hbars"][0]
+    params = ModelParams(omega1=values["omega1"], omega2=values["omega2"], g=values["g"], hbar=hbar)
     return params, values
 
 
@@ -184,10 +178,15 @@ def _cmd_scan_hbar(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Each command: (handler, help, the flags it reads).  The only place that
+#: says which command reads which flag; every command also takes --out and --config.
 _COMMANDS = {
-    "levels": _cmd_levels,
-    "compare": _cmd_compare,
-    "scan-hbar": _cmd_scan_hbar,
+    "levels": (_cmd_levels, "converged exact levels with labels",
+               ("omega1", "omega2", "g", "hbar", "k", "digits", "dump-matrix")),
+    "compare": (_cmd_compare, "exact vs semiclassical vs perturbative table",
+                ("omega1", "omega2", "g", "hbar", "k", "digits", "rows", "json", "dump-matrix")),
+    "scan-hbar": (_cmd_scan_hbar, "semiclassical error across hbar values",
+                  ("omega1", "omega2", "g", "rows", "hbars")),
 }
 
 
@@ -195,7 +194,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,5 +1,8 @@
+import argparse
+
 import pytest
 
+from quartosc import cli
 from quartosc.cli import main
 
 
@@ -131,6 +134,8 @@ def test_scan_hbar_rejects_negative(capsys):
         ["levels", "--config", b"g=\xe9\n"],
         ["levels", "--k", "3", "--g", "1e308"],
         ["levels", "--k", "3", "--hbar", "1e200"],
+        ["levels", "--config", b"omgea1=3\n"],
+        ["scan-hbar", "--config", b"k=5\n"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -143,6 +148,36 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "--rows", "1"],
+        ["scan-hbar", "--k", "7"],
+        ["scan-hbar", "--digits", "3"],
+        ["scan-hbar", "--hbar", "5"],
+        ["scan-hbar", "--dump-matrix", "h.txt"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_command_takes_exactly_its_table_flags():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        options = {s for action in sub.choices[name]._actions for s in action.option_strings}
+        assert options == {f"--{key}" for key in flags} | {"--out", "--config", "-h", "--help"}
 
 
 def test_config_file_with_flag_precedence(capsys, tmp_path):
