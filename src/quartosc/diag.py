@@ -6,9 +6,12 @@ X = (a + a^+)^2 acts on one mode and steps n by 0 or +-2.  The coupling
 therefore preserves the per-mode parities, and every basis here is a
 tensor grid: the square cut is range(n_max + 1) per mode, and its four
 parity blocks are the even or odd numbers of each mode.  The Hamiltonian
-of a grid is assembled from the two single-mode X matrices;
-converged_levels diagonalizes block by block and enlarges the basis until
-the requested number of levels stops moving at the digit target.
+of a grid is assembled from the two single-mode X matrices, in lower band
+storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
+bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
+alone with the band solver and enlarges the basis until the requested
+number of levels stops moving at the digit target; only the accepted
+step's blocks are expanded to dense, once, for their eigenvectors.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ SCHEDULE_START = 14
 SCHEDULE_STEP = 5
 DEFAULT_N_MAX_CAP = 80
 
-#: Assignments whose dominant basis weight falls below this are flagged.
+#: The eigenvalue solver's rounding scale, in units of eps * max|E|.  Checked
+#: against a long-double Rayleigh-quotient oracle, the band solver's error
+#: reached 72 eps max|E| over all levels at n_max <= 80 (the default cap).
+ROUNDING_FACTOR = 100.0
+
+#: Levels whose assigned basis-state weight falls below this are flagged.
 AMBIGUOUS_WEIGHT = 0.4
 
 
 class ConvergenceFailure(RuntimeError):
-    """The dense eigensolver failed to converge (pathological input)."""
+    """The LAPACK eigensolver failed to converge (pathological input)."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -89,46 +97,63 @@ def _mode_matrix(modes: range) -> np.ndarray:
 
 
 def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
-    """Dense symmetric Hamiltonian over a tensor-grid basis.
+    """Symmetric Hamiltonian over a tensor-grid basis, as its lower band.
 
-    Writes g (hbar^2/4) X1 (x) X2 one nonzero X1 tile at a time, then adds
-    e0 to the diagonal, in the product order of v_matrix_element and
-    e0_quantum, so each entry is bitwise theirs.  Raises MatrixOverflow if
-    an entry is not finite.
+    Row d of the (b + 1, n) result is the d-th subdiagonal, band[d, c] =
+    H[c + d, c], zero past the matrix.  With d1, d2 the widest nonzero
+    diagonals of the single-mode X matrices, b = d1 m2 + d2: m2 + 1 for a
+    parity block, 2 m2 + 2 for the square cut.  Entries are computed in the
+    product order of v_matrix_element and e0_quantum, so each is bitwise
+    theirs.  Raises MatrixOverflow if an entry is not finite.
     """
     x1, x2 = _mode_matrix(basis.modes1), _mode_matrix(basis.modes2)
     m1, m2 = len(x1), len(x2)
     g, hbar = params.g, params.hbar
-    h = np.zeros((m1, m2, m1, m2))
+    steps1 = [d for d in range(m1) if np.diagonal(x1, -d).any()]
+    steps2 = [e for e in range(-m2 + 1, m2) if np.diagonal(x2, -e).any()]
+    b = max(steps1, default=0) * m2 + max(steps2, default=0)
+    band = np.zeros((b + 1, m1, m2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in zip(*np.nonzero(x1)):
-            h[i, :, j, :] = g * (0.25 * hbar * hbar * x1[i, j] * x2)
-        h = h.reshape(m1 * m2, m1 * m2)
+        for d in steps1:
+            f1 = 0.25 * hbar * hbar * np.diagonal(x1, -d)
+            for e in steps2:
+                if d * m2 + e < 0:
+                    continue  # above the diagonal
+                # Row d * m2 + e at column (j, k) holds H[(j + d, k + e), (j, k)].
+                k = slice(max(0, -e), min(m2, m2 - e))
+                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(f1, np.diagonal(x2, -e))
+        band = band.reshape(b + 1, m1 * m2)
         n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
-        e0 = hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5))
-        h[np.diag_indices(m1 * m2)] += e0.ravel()
+        band[0] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
     # Every entry is >= 0 or nan, and max propagates nan: one finite max clears them all.
-    if not np.isfinite(h.max(initial=0.0)):
+    if not np.isfinite(band.max(initial=0.0)):
         raise MatrixOverflow(f"the Hamiltonian overflows double precision at g={g}, hbar={hbar}")
-    return h
+    return band
 
 
 def symmetric_eigenvalues(matrix: np.ndarray, want_vectors: bool = False, lowest: int = 0):
-    """Ascending eigenvalues of a real symmetric matrix, optionally with vectors.
+    """Ascending eigenvalues of a real symmetric matrix given as its lower band.
 
-    Backed by the LAPACK dense symmetric solver (Householder reduction
-    plus implicit-shift iteration), which is deterministic for a fixed
-    input.  Eigenvectors come back orthonormal, one per column.  A
-    positive lowest limits the solve to that many lowest eigenpairs.
+    matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  Values
+    alone come from LAPACK's band solver (dsbtrd reduction, O(n^2 b)).  For
+    want_vectors the band is expanded to dense once for the dense solver;
+    vectors come back orthonormal, one per column.  A positive lowest keeps
+    that many lowest eigenpairs.  Both solvers are deterministic for a
+    fixed input.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError("matrix is not symmetric")
-    subset = (0, lowest - 1) if lowest > 0 else None
+    band = np.asarray(matrix, dtype=float)
+    if band.ndim != 2 or band.shape[0] > band.shape[1]:
+        raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
     try:
-        return scipy.linalg.eigh(matrix, eigvals_only=not want_vectors, subset_by_index=subset)
+        if not want_vectors:
+            values = scipy.linalg.eigvals_banded(band, lower=True, check_finite=False)
+            return values[:lowest] if lowest > 0 else values
+        n = band.shape[1]
+        dense = np.zeros((n, n))
+        for d, row in enumerate(band):
+            dense.reshape(-1)[d * n :: n + 1] = row[: n - d]  # eigh reads the lower triangle
+        subset = (0, lowest - 1) if lowest > 0 else None
+        return scipy.linalg.eigh(dense, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -138,7 +163,7 @@ class SpectrumLevel:
     """One converged level with its assigned label.
 
     overlap_weight is the squared eigenvector component on the assigned
-    basis state; ambiguous marks a dominant weight below AMBIGUOUS_WEIGHT.
+    basis state; ambiguous marks an overlap_weight below AMBIGUOUS_WEIGHT.
     """
 
     rank: int
@@ -162,7 +187,7 @@ class ConvergenceReport:
 
 
 def _block_spectra(params: ModelParams, n_max: int):
-    """Per-parity-block (eigenvalues, matrix, block) for the square cut at n_max."""
+    """Per-parity-block (eigenvalues, band, block) for the square cut at n_max."""
     out = []
     for block in split_parity_blocks(build_basis(n_max)):
         h = assemble_hamiltonian(block, params)
@@ -181,7 +206,9 @@ def assign_quantum_numbers(spectra, k: int) -> tuple[SpectrumLevel, ...]:
     Each level first claims the basis state carrying its largest squared
     eigenvector component.  When two levels claim the same state the
     larger weight wins and the loser moves to its next-best unclaimed
-    state, so the final label set has no duplicates.
+    state, so the final label set has no duplicates.  A level is flagged
+    ambiguous when the weight of the state it ends up with is below
+    AMBIGUOUS_WEIGHT.
     """
     entries = []  # (energy, squared weights, block states)
     for w, v, block in spectra:
@@ -195,28 +222,26 @@ def assign_quantum_numbers(spectra, k: int) -> tuple[SpectrumLevel, ...]:
         range(len(entries)), key=lambda i: float(entries[i][1].max()), reverse=True
     )
     claimed: set[tuple[int, int]] = set()
-    assigned: dict[int, tuple[tuple[int, int], float, bool]] = {}
+    assigned: dict[int, tuple[tuple[int, int], float]] = {}
     for i in order:
         _, weights, states = entries[i]
-        best_weight = float(weights.max())
         for idx in np.argsort(weights)[::-1]:
             state = states[int(idx)]
             if state not in claimed:
                 claimed.add(state)
-                assigned[i] = (state, float(weights[int(idx)]), best_weight < AMBIGUOUS_WEIGHT)
+                assigned[i] = (state, float(weights[int(idx)]))
                 break
 
     levels = []
-    for rank, i in enumerate(range(len(entries)), start=1):
-        energy = entries[i][0]
-        state, weight, ambiguous = assigned[i]
+    for rank, (energy, _, _) in enumerate(entries, start=1):
+        state, weight = assigned[rank - 1]
         levels.append(
             SpectrumLevel(
                 rank=rank,
                 energy=energy,
                 assigned=QuantumNumbers(*state),
                 overlap_weight=weight,
-                ambiguous=ambiguous,
+                ambiguous=weight < AMBIGUOUS_WEIGHT,
             )
         )
     return tuple(levels)
@@ -233,10 +258,11 @@ def converged_levels(
     The stopping rule compares consecutive schedule steps level by level
     against the mixed threshold 0.5 * 10^-digits * max(1, |E|); the
     reported levels come from the final step, labelled by the dominant
-    weight of eigenvectors solved on its retained block matrices for the
+    weight of eigenvectors solved on its retained block bands for the
     k lowest levels only.  Raises BudgetExceeded past n_max_cap, and
     UnresolvableDigits at the first step where the smallest threshold is
-    no larger than 10 * eps * max|E|, the eigensolver's rounding scale.
+    no larger than ROUNDING_FACTOR * eps * max|E|, the eigensolver's
+    rounding scale.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -254,11 +280,12 @@ def converged_levels(
         spectrum = _merged_values(spectra)
         values = spectrum[:k]
         threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
-        resolution = 10.0 * np.finfo(float).eps * float(np.abs(spectrum).max())
+        resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(spectrum).max())
         if float(threshold.min()) <= resolution:
             raise UnresolvableDigits(
                 f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
-                f"{threshold.min():.1e} <= rounding scale 10*eps*max|E| = {resolution:.1e}"
+                f"{threshold.min():.1e} <= rounding scale "
+                f"{ROUNDING_FACTOR:g}*eps*max|E| = {resolution:.1e}"
             )
         if previous is not None:
             delta = np.abs(values - previous)
@@ -277,7 +304,7 @@ def converged_levels(
                     history=tuple(history),
                 )
         previous = values
-        del spectra  # release this step's matrices before the next step assembles
+        del spectra  # release this step's bands before the next step assembles
         n_max += SCHEDULE_STEP
     raise BudgetExceeded(
         f"first {k} levels not converged to {digits} digits by n_max={n_max_cap}"
@@ -285,9 +312,18 @@ def converged_levels(
 
 
 def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
-    """Write nonzero entries as "row col value" lines, 0-based, 17 significant digits."""
-    matrix = np.asarray(matrix)
+    """Write the nonzero entries of a symmetric matrix as "row col value" lines.
+
+    matrix is the lower band, as assemble_hamiltonian returns it.  Both
+    triangles are written, row by row, 0-based, 17 significant digits.
+    """
+    band = np.asarray(matrix)
+    b, n = band.shape[0] - 1, band.shape[1]
+    rows = np.zeros((n, 2 * b + 1))  # rows[i, b + j - i] = H[i, j]: no n x n array
+    for d in range(b + 1):
+        rows[d:, b - d] = rows[: n - d, b + d] = band[d, : n - d]
     with open(path, "w", encoding="ascii") as fh:
-        for i, row in enumerate(matrix):
-            cols = np.flatnonzero(row)  # row by row: no matrix-sized temporaries
-            fh.writelines(f"{i} {j} {v:.17g}\n" for j, v in zip(cols.tolist(), row[cols].tolist()))
+        for i, row in enumerate(rows):
+            cols = np.flatnonzero(row)
+            values = row[cols].tolist()
+            fh.writelines(f"{i} {j} {v:.17g}\n" for j, v in zip((cols + i - b).tolist(), values))

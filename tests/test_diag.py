@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quartosc import diag
 from quartosc.diag import (
+    ROUNDING_FACTOR,
     BudgetExceeded,
     MatrixOverflow,
     _block_spectra,
@@ -42,6 +44,16 @@ def _assemble_loop(states, params):
             j = index.get(m)
             if j is not None:
                 h[i, j] = g * v_matrix_element(QuantumNumbers(*m), ket, hbar)
+    return h
+
+
+def _dense(band):
+    """The full symmetric matrix of a lower band: H[c + d, c] = H[c, c + d] = band[d, c]."""
+    n = band.shape[1]
+    h = np.zeros((n, n))
+    for d, row in enumerate(band):
+        h[np.arange(d, n), np.arange(n - d)] = row[: n - d]
+        h[np.arange(n - d), np.arange(d, n)] = row[: n - d]
     return h
 
 
@@ -84,7 +96,7 @@ def test_zero_coupling_gives_diagonal_matrix():
     expected = np.diag(
         [e0_quantum(QuantumNumbers(*s), params) for s in basis.states]
     )
-    np.testing.assert_allclose(h, expected, atol=0.0)
+    np.testing.assert_allclose(_dense(h), expected, atol=0.0)
 
 
 def test_specific_off_diagonal_entry():
@@ -92,12 +104,21 @@ def test_specific_off_diagonal_entry():
     h = assemble_hamiltonian(basis, PARAMS)
     i = basis.states.index((2, 0))
     j = basis.states.index((0, 0))
-    assert h[i, j] == pytest.approx(0.1 * 0.25 * math.sqrt(2.0), rel=1e-15)
+    assert h[i - j, j] == pytest.approx(0.1 * 0.25 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_matrix_is_exactly_symmetric():
-    h = assemble_hamiltonian(build_basis(6), PARAMS)
+    # What makes storing only the lower band lossless.
+    h = _assemble_loop(build_basis(6).states, PARAMS)
     assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("n_max", [34, 69])
+def test_bandwidth_is_m2_plus_1(n_max):
+    basis = build_basis(n_max)
+    assert assemble_hamiltonian(basis, PARAMS).shape == (2 * (n_max + 1) + 3, basis.dimension)
+    for b in split_parity_blocks(basis):
+        assert assemble_hamiltonian(b, PARAMS).shape == (len(b.modes2) + 2, b.dimension)
 
 
 def test_parity_block_sizes():
@@ -124,7 +145,7 @@ def test_parity_split_is_the_modulo_scan(n_max):
 
 def test_no_cross_block_coupling():
     basis = build_basis(6)
-    h = assemble_hamiltonian(basis, PARAMS)
+    h = _dense(assemble_hamiltonian(basis, PARAMS))
     parity = [(n1 % 2, n2 % 2) for n1, n2 in basis.states]
     for i in range(basis.dimension):
         for j in range(basis.dimension):
@@ -141,7 +162,14 @@ def test_no_cross_block_coupling():
 def test_array_kernel_is_bitwise_the_loop(n_max, params):
     basis = build_basis(n_max)
     for b in [basis] + split_parity_blocks(basis):
-        assert np.array_equal(assemble_hamiltonian(b, params), _assemble_loop(b.states, params))
+        band, oracle = assemble_hamiltonian(b, params), _assemble_loop(b.states, params)
+        n = b.dimension
+        assert band.shape[1] == n
+        for d, row in enumerate(band):
+            assert np.array_equal(row[: n - d], np.diagonal(oracle, -d))
+            assert not row[n - d :].any()
+        width = len(band) - 1
+        assert not np.tril(oracle, -width - 1).any() and not np.triu(oracle, width + 1).any()
 
 
 @pytest.mark.parametrize("field, value", [("g", 1e308), ("hbar", 1e200)])
@@ -153,23 +181,67 @@ def test_overflowing_hamiltonian_rejected(field, value):
 
 def test_eigenvalues_2x2_closed_form():
     a, b = 3.0, -1.5
-    w = symmetric_eigenvalues(np.array([[a, b], [b, a]]))
+    w = symmetric_eigenvalues(np.array([[a, a], [b, 0.0]]))  # [[a, b], [b, a]] as a band
     np.testing.assert_allclose(w, [a - abs(b), a + abs(b)], rtol=1e-14)
 
 
 def test_eigenvalues_of_diagonal_matrix():
-    d = np.diag([3.0, -1.0, 2.5])
+    d = np.array([[3.0, -1.0, 2.5]])  # diag(3, -1, 2.5) as a band of width 0
     np.testing.assert_allclose(symmetric_eigenvalues(d), [-1.0, 2.5, 3.0], rtol=0)
 
 
-def test_eigenvalues_reject_asymmetric():
+@pytest.mark.parametrize(
+    "band", [np.ones(3), np.ones((1, 2, 2)), np.ones((3, 2))], ids=["1d", "3d", "too-wide"]
+)
+def test_eigenvalues_reject_malformed_band(band):
     with pytest.raises(ValueError):
-        symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        symmetric_eigenvalues(band)
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(band, want_vectors=True)
+
+
+def _rayleigh_oracle(band):
+    """Eigenvalues as long-double Rayleigh quotients v^T H v / v^T v of dense eigh vectors.
+
+    A quotient's error is second order in its vector's, so this resolves
+    the band solver's rounding error well below eps * max|E|.
+    """
+    _, v = scipy.linalg.eigh(_dense(band))
+    v, band = v.astype(np.longdouble), band.astype(np.longdouble)
+    n = v.shape[0]
+    hv = band[0][:, None] * v
+    for d in range(1, len(band)):
+        hv[d:] += band[d, : n - d, None] * v[: n - d]
+        hv[: n - d] += band[d, : n - d, None] * v[d:]
+    return (v * hv).sum(axis=0) / (v * v).sum(axis=0)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended long double"
+)
+@pytest.mark.parametrize("n_max", [14, 34])
+@pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT_PARAMS,
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1),
+    ],
+    ids=["default", "hbar0.1", "sqrt3"],
+)
+def test_band_eigenvalues_within_the_rounding_scale(n_max, params):
+    bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(n_max))]
+    values = [symmetric_eigenvalues(band) for band in bands]
+    scale = np.finfo(float).eps * max(float(np.abs(w).max()) for w in values)
+    for band, w in zip(bands, values):
+        error = np.abs(w.astype(np.longdouble) - _rayleigh_oracle(band))
+        assert float(error.max()) <= ROUNDING_FACTOR * scale
 
 
 def test_eigenvector_residual_and_orthonormality():
-    h = assemble_hamiltonian(build_basis(6), PARAMS)
-    w, v = symmetric_eigenvalues(h, want_vectors=True)
+    band = assemble_hamiltonian(build_basis(6), PARAMS)
+    w, v = symmetric_eigenvalues(band, want_vectors=True)
+    h = _dense(band)
     scale = np.linalg.norm(h)
     for j in range(len(w)):
         assert np.linalg.norm(h @ v[:, j] - w[j] * v[:, j]) <= 1e-10 * scale
@@ -235,6 +307,17 @@ def test_each_schedule_step_solved_once(monkeypatch):
         assert got.overlap_weight == pytest.approx(want.overlap_weight, abs=1e-10)
 
 
+def test_flagged_by_the_assigned_weight(default_table):
+    # Greedy pushes ranks 39 and 71 off their best states onto (2,5) and (4,6).
+    levels = default_table.report.levels
+    assert len(levels) == 100
+    for rank, label in ((39, (2, 5)), (71, (4, 6))):
+        level = levels[rank - 1]
+        assert (level.assigned.n1, level.assigned.n2) == label
+        assert level.overlap_weight < diag.AMBIGUOUS_WEIGHT and level.ambiguous
+    assert all(lvl.ambiguous == (lvl.overlap_weight < diag.AMBIGUOUS_WEIGHT) for lvl in levels)
+
+
 def test_converged_levels_zero_coupling():
     params = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
     report = converged_levels(params, k=20, digits=8)
@@ -278,16 +361,16 @@ def test_matrix_dump_round_trips(tmp_path):
     h = assemble_hamiltonian(basis, PARAMS)
     path = tmp_path / "matrix.txt"
     dump_matrix_triplets(h, str(path))
-    rebuilt = np.zeros_like(h)
+    rebuilt = np.zeros((basis.dimension, basis.dimension))
     for line in path.read_text().splitlines():
         i, j, v = line.split()
         rebuilt[int(i), int(j)] = float(v)
-    np.testing.assert_array_equal(rebuilt, h)
+    np.testing.assert_array_equal(rebuilt, _dense(h))
 
 
 def test_matrix_dump_matches_entrywise_writer(tmp_path):
     h = assemble_hamiltonian(build_basis(6), PARAMS)
-    h[0, 1] = -0.0
+    h[1, 0] = -0.0  # H[1, 0] and H[0, 1]
     dump_matrix_triplets(h, str(tmp_path / "fast.txt"))
-    _dump_loop(h, str(tmp_path / "loop.txt"))
+    _dump_loop(_dense(h), str(tmp_path / "loop.txt"))
     assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
