@@ -2,7 +2,8 @@
 
 Commands: `levels`, `compare`, `scan-hbar`.  Defaults reproduce the
 reference configuration omega1=1, omega2=sqrt(2), g=0.1, hbar=1.
-Exit codes: 0 ok, 2 bad input, 3 convergence budget exceeded, 4 I/O.
+Exit codes: 0 ok, 2 bad input, 3 convergence budget exceeded or eigensolver
+failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except diag.BudgetExceeded as exc:
+    except (diag.BudgetExceeded, diag.ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:

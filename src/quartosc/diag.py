@@ -10,8 +10,9 @@ of a grid is assembled from the two single-mode X matrices, in lower band
 storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
 bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
 alone with the band solver and enlarges the basis until the requested
-number of levels stops moving at the digit target; only the accepted
-step's blocks are expanded to dense, once, for their eigenvectors.
+number of levels stops moving at the digit target.  Only the accepted
+step takes eigenvectors, by inverse iteration on each band, shifted by
+the eigenvalues already found; no n x n array is built.
 """
 
 from __future__ import annotations
@@ -35,12 +36,15 @@ DEFAULT_N_MAX_CAP = 80
 #: reached 72 eps max|E| over all levels at n_max <= 80 (the default cap).
 ROUNDING_FACTOR = 100.0
 
+#: Cap on the inverse-iteration solves per eigenvector (LAPACK dstein's MAXITS).
+INVERSE_ITERATIONS = 5
+
 #: Levels whose assigned basis-state weight falls below this are flagged.
 AMBIGUOUS_WEIGHT = 0.4
 
 
 class ConvergenceFailure(RuntimeError):
-    """The LAPACK eigensolver failed to converge (pathological input)."""
+    """LAPACK did not converge, or an inverse-iteration vector missed the rounding scale."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -131,31 +135,107 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     return band
 
 
-def symmetric_eigenvalues(matrix: np.ndarray, want_vectors: bool = False, lowest: int = 0):
+def symmetric_eigenvalues(
+    matrix: np.ndarray,
+    want_vectors: bool = False,
+    lowest: int = 0,
+    values: np.ndarray | None = None,
+):
     """Ascending eigenvalues of a real symmetric matrix given as its lower band.
 
-    matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  Values
-    alone come from LAPACK's band solver (dsbtrd reduction, O(n^2 b)).  For
-    want_vectors the band is expanded to dense once for the dense solver;
-    vectors come back orthonormal, one per column.  A positive lowest keeps
-    that many lowest eigenpairs.  Both solvers are deterministic for a
-    fixed input.
+    matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  The
+    values come from LAPACK's band solver (dsbtrd reduction, O(n^2 b)),
+    unless values already holds all of them, ascending, from an earlier
+    call on the same band.  A positive lowest keeps that many lowest.  For
+    want_vectors the vectors come from inverse iteration on the band,
+    shifted by those values (_band_eigenvectors), and return orthonormal,
+    one per column.  Both are deterministic for a fixed input.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
         raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
     try:
-        if not want_vectors:
+        if values is None:
             values = scipy.linalg.eigvals_banded(band, lower=True, check_finite=False)
-            return values[:lowest] if lowest > 0 else values
-        n = band.shape[1]
-        dense = np.zeros((n, n))
-        for d, row in enumerate(band):
-            dense.reshape(-1)[d * n :: n + 1] = row[: n - d]  # eigh reads the lower triangle
-        subset = (0, lowest - 1) if lowest > 0 else None
-        return scipy.linalg.eigh(dense, subset_by_index=subset)
+        count = min(lowest, len(values)) if lowest > 0 else len(values)
+        if not want_vectors:
+            return values[:count]
+        return values[:count], _band_eigenvectors(band, values, count)
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Eigenvectors of the lower band for values[:count], one per column.
+
+    values holds all the band's eigenvalues, ascending.  Inverse iteration
+    as LAPACK's dstein does it: per eigenvalue, one LU factorization of
+    H - lambda I in general band storage (dgbtrf), pivots below eps max|E|
+    raised to it, then band solves (dgbtrs) from a seeded start vector,
+    each followed by Gram-Schmidt against the earlier vectors of its
+    cluster (gaps below 1e-3 max|E|), until the residual |Hx - lambda x|
+    is at the rounding scale ROUNDING_FACTOR eps max|E|.  Each run of
+    eigenvalues no more than eps max|E| apart then gets a canonical basis
+    of its eigenspace (_canonical_basis).  Raises ConvergenceFailure if a
+    vector misses the rounding scale within INVERSE_ITERATIONS solves.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
+    scale = max(abs(values[0]), abs(values[-1]))  # max|E|
+    floor = np.finfo(float).eps * scale
+    lower = np.asfortranarray(band)
+    # Row 2b + i - j of the general band holds H[i, j]; rows 0..b-1 are LU fill-in.
+    general = np.zeros((3 * b + 1, n), order="F")
+    for d in range(b + 1):
+        general[2 * b + d, : n - d] = general[2 * b - d, d:] = band[d, : n - d]
+    lu = np.empty_like(general)
+    rng = np.random.default_rng(0)
+    vectors = np.empty((count, n))
+    first = 0  # the current cluster's first eigenvalue
+    for j, shift in enumerate(values[:count]):
+        if j and shift - values[j - 1] > 1e-3 * scale:
+            first = j
+        lu[...] = general
+        lu[2 * b] -= shift
+        lu, pivot, _ = scipy.linalg.lapack.dgbtrf(lu, b, b, overwrite_ab=True)
+        u = lu[2 * b]
+        tiny = np.abs(u) < floor
+        u[tiny] = np.copysign(floor, u[tiny])
+        x = rng.uniform(-1.0, 1.0, n)
+        for solve in range(INVERSE_ITERATIONS):
+            x = scipy.linalg.lapack.dgbtrs(lu, b, b, x, pivot)[0]
+            cluster = vectors[first:j]
+            x -= (cluster @ x) @ cluster
+            x /= np.linalg.norm(x)
+            if not solve:
+                continue  # the first solve leaves the factorization's rounding, over the gap, in x
+            hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
+            if np.linalg.norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
+                break
+        else:
+            raise ConvergenceFailure(
+                f"inverse iteration for eigenvalue {shift!r} missed the rounding scale "
+                f"after {INVERSE_ITERATIONS} solves"
+            )
+        vectors[j] = x
+    edges = np.flatnonzero(np.diff(values[:count]) > floor) + 1
+    for lo, hi in zip([0, *edges], [*edges, count]):
+        if hi - lo > 1:
+            vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
+    return vectors.T
+
+
+def _canonical_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the same space, independent of the given basis.
+
+    Pivoted QR picks m well-conditioned columns (basis states); the span's
+    unique basis that is the identity on them, in column order, is then
+    orthonormalized by Gram-Schmidt.  Where the span is that of m unit
+    vectors, as for exactly degenerate uncoupled states, those come back.
+    """
+    m = len(rows)
+    picked = np.sort(scipy.linalg.qr(rows, mode="r", pivoting=True)[1][:m])
+    q, r = np.linalg.qr(np.linalg.solve(rows[:, picked], rows).T)
+    return (q * np.copysign(1.0, np.diagonal(r))).T
 
 
 @dataclass(frozen=True)
@@ -294,7 +374,7 @@ def converged_levels(
                 # Vectors for each block's levels up to the k-th; ties past k are cut by assign.
                 shares = [int(np.searchsorted(w, values[-1], side="right")) for w, _, _ in spectra]
                 spectra = [
-                    (w[:c], symmetric_eigenvalues(h, True, lowest=c)[1], block)
+                    (*symmetric_eigenvalues(h, True, lowest=c, values=w), block)
                     for (w, h, block), c in zip(spectra, shares)
                     if c
                 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .classical import semiclassical_series
@@ -97,45 +97,26 @@ def comparison_table(
     return ComparisonTable(rows=tuple(rows), spacing=spacing, report=report)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """Semiclassical error of one level rank at one hbar."""
-
-    hbar: float
-    rank: int
-    n: QuantumNumbers
-    e_exact: float
-    e_sc: float
-    err_sc: float
-
-
 def hbar_scan(
     base: ModelParams, hbars: Sequence[float], n_rows: int = 20
-) -> tuple[ScanRow, ...]:
-    """Semiclassical error per level for each hbar in the list.
+) -> tuple[tuple[float, int, ComparisonRow], ...]:
+    """Semiclassical error per level for each hbar in the list, as (hbar, rank, row).
 
     Each hbar gets its own converged exact spectrum, its own mean
     spacing over the lowest 100 levels, and its own label assignment
     (the energy ordering of the levels changes with hbar).
     """
-    rows: list[ScanRow] = []
-    for hbar in hbars:
-        table = comparison_table(replace(base, hbar=hbar), n_rows=n_rows)
-        for rank, row in enumerate(table.rows, start=1):
-            rows.append(
-                ScanRow(
-                    hbar=hbar,
-                    rank=rank,
-                    n=row.n,
-                    e_exact=row.e_exact,
-                    e_sc=row.e_sc,
-                    err_sc=row.err_sc,
-                )
-            )
-    return tuple(rows)
+    return tuple(
+        (hbar, rank, row)
+        for hbar in hbars
+        for rank, row in enumerate(
+            comparison_table(replace(base, hbar=hbar), n_rows=n_rows).rows, start=1
+        )
+    )
 
 
-#: CSV columns, each (header, attribute path on the row, format spec).
+#: CSV columns, each (header, dotted path on the row, format spec).  A numeric
+#: first step of a path indexes the row; every other step reads an attribute.
 _COMPARISON_COLUMNS = (
     ("n1", "n.n1", "d"),
     ("n2", "n.n2", "d"),
@@ -146,14 +127,15 @@ _COMPARISON_COLUMNS = (
     ("err_qp_over_D", "err_qp", "#.8g"),
 )
 
+#: Scan rows are (hbar, rank, ComparisonRow).
 _SCAN_COLUMNS = (
-    ("hbar", "hbar", "g"),
-    ("rank", "rank", "d"),
-    ("n1", "n.n1", "d"),
-    ("n2", "n.n2", "d"),
-    ("e_exact", "e_exact", "#.7g"),
-    ("e_sc", "e_sc", "#.7g"),
-    ("err_sc_over_D", "err_sc", "#.8g"),
+    ("hbar", "0", "g"),
+    ("rank", "1", "d"),
+    ("n1", "2.n.n1", "d"),
+    ("n2", "2.n.n2", "d"),
+    ("e_exact", "2.e_exact", "#.7g"),
+    ("e_sc", "2.e_sc", "#.7g"),
+    ("err_sc_over_D", "2.err_sc", "#.8g"),
 )
 
 _LEVEL_COLUMNS = (
@@ -166,11 +148,23 @@ _LEVEL_COLUMNS = (
 )
 
 
+def _getter(path: str):
+    """Reader of a dotted column path."""
+    head, _, rest = path.partition(".")
+    if not head.isdigit():
+        return attrgetter(path)
+    item = itemgetter(int(head))
+    if not rest:
+        return item
+    tail = attrgetter(rest)
+    return lambda row: tail(item(row))
+
+
 def _render_csv(columns: Sequence[tuple[str, str, str]], rows: Sequence[object]) -> str:
     """Header line plus one line per row, each cell formatted by its column."""
     if not rows:
         raise ValueError("no rows to emit")
-    cells = [(attrgetter(path), spec) for _, path, spec in columns]
+    cells = [(_getter(path), spec) for _, path, spec in columns]
     lines = [",".join(header for header, _, _ in columns)]
     lines.extend(",".join(format(get(row), spec) for get, spec in cells) for row in rows)
     return "\n".join(lines) + "\n"
@@ -180,7 +174,7 @@ def render_comparison_csv(rows: Sequence[ComparisonRow]) -> str:
     return _render_csv(_COMPARISON_COLUMNS, rows)
 
 
-def render_scan_csv(rows: Sequence[ScanRow]) -> str:
+def render_scan_csv(rows: Sequence[tuple[float, int, ComparisonRow]]) -> str:
     return _render_csv(_SCAN_COLUMNS, rows)
 
 

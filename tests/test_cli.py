@@ -50,6 +50,17 @@ def test_budget_exceeded_exits_3(capsys, monkeypatch):
     assert "not converged" in err
 
 
+def test_eigensolver_failure_exits_3_without_traceback(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise cli.diag.ConvergenceFailure("eigensolver did not converge")
+
+    monkeypatch.setattr(cli.diag, "symmetric_eigenvalues", failing)
+    code, out, err = run(capsys, "levels", "--k", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: eigensolver did not converge\n"
+
+
 def test_unwritable_output_exits_4(capsys, tmp_path):
     code, _, err = run(
         capsys, "levels", "--k", "5", "--out", str(tmp_path / "missing" / "x.csv")

@@ -8,6 +8,7 @@ from quartosc import diag
 from quartosc.diag import (
     ROUNDING_FACTOR,
     BudgetExceeded,
+    ConvergenceFailure,
     MatrixOverflow,
     _block_spectra,
     _merged_values,
@@ -249,6 +250,72 @@ def test_eigenvector_residual_and_orthonormality():
     assert np.max(np.abs(gram - np.eye(len(w)))) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "params, n_max",
+    [
+        (DEFAULT_PARAMS, 34),
+        (DEFAULT_PARAMS, 69),
+        (ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1), 34),
+    ],
+    ids=["default-34", "default-69", "sqrt3"],
+)
+def test_inverse_iteration_matches_dense_eigh(params, n_max):
+    """Each block's lowest vectors, as many as deep runs take, against the dense solver."""
+    for block in split_parity_blocks(build_basis(n_max)):
+        band = assemble_hamiltonian(block, params)
+        values = symmetric_eigenvalues(band)
+        count = min(len(values) // 3, 125)
+        w, v = symmetric_eigenvalues(band, True, lowest=count, values=values)
+        h = _dense(band)
+        _, oracle = scipy.linalg.eigh(h, subset_by_index=(0, count - 1))
+        np.testing.assert_allclose(v**2, oracle**2, rtol=0, atol=1e-9)
+        assert np.abs(v.T @ v - np.eye(count)).max() < 1e-12
+        scale = np.finfo(float).eps * np.abs(values).max()
+        assert np.linalg.norm(h @ v - v * w, axis=0).max() <= ROUNDING_FACTOR * scale
+
+
+def test_vector_solve_is_bitwise_repeatable():
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[1], PARAMS)
+    state = np.random.get_state()
+    w1, v1 = symmetric_eigenvalues(band, True, lowest=40)
+    np.random.random(3)
+    w2, v2 = symmetric_eigenvalues(band, True, lowest=40)
+    assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+    np.random.set_state(state)
+    symmetric_eigenvalues(band, True, lowest=40)
+    assert np.array_equal(np.random.get_state()[1], state[1])  # global generator untouched
+
+
+def test_close_eigenvalues_get_orthogonal_vectors():
+    # Eigenvalues 8 eps max|E| apart: each solve mixes in the other's vector 1:8.
+    band = np.array([[1.0, 1.0 + 2.0**-48, 2.0], [0.0, 0.0, 0.0]])
+    _, v = symmetric_eigenvalues(band, True)
+    assert np.abs(v.T @ v - np.eye(3)).max() < 1e-15
+
+
+def test_inverse_iteration_off_an_eigenvalue_fails():
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
+    values = symmetric_eigenvalues(band)
+    shifted = values + 0.5 * np.diff(values).min()
+    with pytest.raises(ConvergenceFailure):
+        symmetric_eigenvalues(band, True, lowest=1, values=shifted)
+
+
+@pytest.mark.parametrize("omega2", [0.5, 2.0])
+def test_degenerate_shifts_give_unit_vectors(omega2):
+    # At g = 0, E(n1, n2) = n1 + 1/2 + omega2 (n2 + 1/2) repeats inside a parity
+    # block, e.g. (2, 0) and (0, 4) at omega2 = 1/2: H - lambda I is exactly singular.
+    params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
+    levels = converged_levels(params).levels
+    parity = [(lvl.energy, lvl.assigned.n1 % 2, lvl.assigned.n2 % 2) for lvl in levels]
+    assert len(set(parity)) < len(parity)
+    for lvl in levels:
+        assert lvl.overlap_weight == pytest.approx(1.0, abs=1e-12)  # also rules out nan
+        assert not lvl.ambiguous
+        assert e0_quantum(lvl.assigned, params) == lvl.energy
+    assert len({lvl.assigned for lvl in levels}) == len(levels)
+
+
 def test_block_spectra_match_full_matrix():
     h = assemble_hamiltonian(build_basis(6), PARAMS)
     full = symmetric_eigenvalues(h)
@@ -283,9 +350,9 @@ def test_each_schedule_step_solved_once(monkeypatch):
         assembled.append((block, h))
         return h
 
-    def spy_solve(matrix, want_vectors=False, lowest=0):
+    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
         solves.append((want_vectors, lowest))
-        return original_solve(matrix, want_vectors, lowest=lowest)
+        return original_solve(matrix, want_vectors, lowest=lowest, values=values)
 
     monkeypatch.setattr(diag, "assemble_hamiltonian", spy_assemble)
     monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)

@@ -108,7 +108,8 @@ def test_json_emission(default_table, tmp_path):
 def test_scan_consistent_with_comparison(default_table, small_hbar_table):
     base = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
     rows = hbar_scan(base, [1.0], n_rows=5)
-    for scan_row, table_row in zip(rows, default_table.rows):
+    assert [(hbar, rank) for hbar, rank, _ in rows] == [(1.0, r) for r in range(1, 6)]
+    for (_, _, scan_row), table_row in zip(rows, default_table.rows):
         assert scan_row.err_sc == pytest.approx(table_row.err_sc, rel=1e-12)
         assert scan_row.n == table_row.n
 
