@@ -12,7 +12,10 @@ bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
 alone with the band solver and enlarges the basis until the requested
 number of levels stops moving at the digit target.  Only the accepted
 step takes eigenvectors, by inverse iteration on each band, shifted by
-the eigenvalues already found; no n x n array is built.
+the eigenvalues already found; no n x n array is built.  It finishes one
+block at a time: solve the block's vectors, label its levels, drop the
+vectors, then go on to the next block.  The blocks share no basis
+state, so the labels are those of one claim loop over all blocks.
 """
 
 from __future__ import annotations
@@ -282,48 +285,58 @@ def _merged_values(spectra) -> np.ndarray:
 def assign_quantum_numbers(spectra, k: int) -> tuple[SpectrumLevel, ...]:
     """Label the k lowest levels by dominant basis-state weight.
 
-    spectra holds, per block, (eigenvalues, eigenvector columns, BasisSpec).
-    Each level first claims the basis state carrying its largest squared
-    eigenvector component.  When two levels claim the same state the
-    larger weight wins and the loser moves to its next-best unclaimed
-    state, so the final label set has no duplicates.  A level is flagged
-    ambiguous when the weight of the state it ends up with is below
-    AMBIGUOUS_WEIGHT.
-    """
-    entries = []  # (energy, squared weights, block states)
-    for w, v, block in spectra:
-        states = block.states
-        for j in range(len(w)):
-            entries.append((float(w[j]), v[:, j] ** 2, states))
-    entries.sort(key=lambda e: e[0])
-    entries = entries[:k]
+    spectra holds, per block, (eigenvalues, eigenvector columns, BasisSpec),
+    eigenvalues ascending.  The k lowest levels are taken by a stable sort
+    of all blocks' eigenvalues, so equal energies keep block order.  In
+    each block, levels claim basis states in order of their largest
+    squared eigenvector component, largest first, ties in rank order.
+    Each level first claims the state carrying that component; when it is
+    already claimed the level moves to its next-best unclaimed state, so
+    the final label set has no duplicates.  The blocks' basis states are
+    disjoint, so claims never meet across blocks, and the labels are those
+    of one such loop over all k levels.  A level is flagged ambiguous when
+    the weight of the state it ends up with is below AMBIGUOUS_WEIGHT.
 
-    order = sorted(
-        range(len(entries)), key=lambda i: float(entries[i][1].max()), reverse=True
-    )
-    claimed: set[tuple[int, int]] = set()
-    assigned: dict[int, tuple[tuple[int, int], float]] = {}
-    for i in order:
-        _, weights, states = entries[i]
-        for idx in np.argsort(weights)[::-1]:
-            state = states[int(idx)]
-            if state not in claimed:
-                claimed.add(state)
-                assigned[i] = (state, float(weights[int(idx)]))
-                break
+    A block whose eigenvectors are None is ranked but not labelled, and
+    its levels are left out of the result: converged_levels labels one
+    block per call, so each block's vectors are freed before the next
+    block's are solved.  The input arrays are not modified.
+    """
+    merged = np.concatenate([w for w, _, _ in spectra])
+    top = np.argsort(merged, kind="stable")[:k]
+    ranks = np.zeros(len(merged), dtype=np.int64)
+    ranks[top] = np.arange(1, len(top) + 1)
 
     levels = []
-    for rank, (energy, _, _) in enumerate(entries, start=1):
-        state, weight = assigned[rank - 1]
-        levels.append(
-            SpectrumLevel(
-                rank=rank,
-                energy=energy,
-                assigned=QuantumNumbers(*state),
-                overlap_weight=weight,
-                ambiguous=weight < AMBIGUOUS_WEIGHT,
-            )
-        )
+    start = 0
+    for w, v, block in spectra:
+        block_ranks = ranks[start : start + len(w)]
+        start += len(w)
+        # The block's ranked levels are a prefix of it: its eigenvalues ascend.
+        count = int(np.count_nonzero(block_ranks))
+        if v is None or not count:
+            continue
+        weights = (v[:, :count] ** 2).T  # one row of squared components per level
+        states = block.states
+        order = sorted(range(count), key=lambda j: float(weights[j].max()), reverse=True)
+        claimed: set[tuple[int, int]] = set()
+        for j in order:
+            for idx in np.argsort(weights[j])[::-1]:
+                state = states[int(idx)]
+                if state not in claimed:
+                    claimed.add(state)
+                    weight = float(weights[j, int(idx)])
+                    levels.append(
+                        SpectrumLevel(
+                            rank=int(block_ranks[j]),
+                            energy=float(w[j]),
+                            assigned=QuantumNumbers(*state),
+                            overlap_weight=weight,
+                            ambiguous=weight < AMBIGUOUS_WEIGHT,
+                        )
+                    )
+                    break
+    levels.sort(key=lambda lvl: lvl.rank)
     return tuple(levels)
 
 
@@ -339,7 +352,9 @@ def converged_levels(
     against the mixed threshold 0.5 * 10^-digits * max(1, |E|); the
     reported levels come from the final step, labelled by the dominant
     weight of eigenvectors solved on its retained block bands for the
-    k lowest levels only.  Raises BudgetExceeded past n_max_cap, and
+    k lowest levels only, one block at a time.  Which levels are the k
+    lowest is fixed from the eigenvalues before any vector is solved.
+    Raises BudgetExceeded past n_max_cap, and
     UnresolvableDigits at the first step where the smallest threshold is
     no larger than ROUNDING_FACTOR * eps * max|E|, the eigensolver's
     rounding scale.
@@ -371,17 +386,19 @@ def converged_levels(
             delta = np.abs(values - previous)
             history.append((n_max, float(delta.max())))
             if bool(np.all(delta < threshold)):
-                # Vectors for each block's levels up to the k-th; ties past k are cut by assign.
+                # Each block solves vectors for its levels up to the k-th (ties past k
+                # are cut by assign), is labelled, and drops them before the next solve.
                 shares = [int(np.searchsorted(w, values[-1], side="right")) for w, _, _ in spectra]
-                spectra = [
-                    (*symmetric_eigenvalues(h, True, lowest=c, values=w), block)
-                    for (w, h, block), c in zip(spectra, shares)
-                    if c
-                ]
+                ranked = [(w[:c], None, block) for (w, _, block), c in zip(spectra, shares)]
+                levels: list[SpectrumLevel] = []
+                for i, ((w, h, block), c) in enumerate(zip(spectra, shares)):
+                    if c:
+                        ranked[i] = (*symmetric_eigenvalues(h, True, lowest=c, values=w), block)
+                        levels += assign_quantum_numbers(ranked, k)
+                        ranked[i] = (w[:c], None, block)
+                levels.sort(key=lambda lvl: lvl.rank)
                 return ConvergenceReport(
-                    final_n_max=n_max,
-                    levels=assign_quantum_numbers(spectra, k),
-                    history=tuple(history),
+                    final_n_max=n_max, levels=tuple(levels), history=tuple(history)
                 )
         previous = values
         del spectra  # release this step's bands before the next step assembles

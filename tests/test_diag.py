@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quartosc.diag import (
     BudgetExceeded,
     ConvergenceFailure,
     MatrixOverflow,
+    SpectrumLevel,
     _block_spectra,
     _merged_values,
     assemble_hamiltonian,
@@ -68,6 +70,42 @@ def _parity_scan(states):
         for p1 in (0, 1)
         for p2 in (0, 1)
     ]
+
+
+def _assign_global(spectra, k):
+    """One greedy claim loop over the k lowest levels of all blocks together.
+
+    The oracle for assign_quantum_numbers, which runs the loop per block.
+    """
+    entries = []  # (energy, squared weights, block states)
+    for w, v, block in spectra:
+        states = block.states
+        for j in range(len(w)):
+            entries.append((float(w[j]), v[:, j] ** 2, states))
+    entries.sort(key=lambda e: e[0])
+    entries = entries[:k]
+
+    order = sorted(range(len(entries)), key=lambda i: float(entries[i][1].max()), reverse=True)
+    claimed = set()
+    assigned = {}
+    for i in order:
+        _, weights, states = entries[i]
+        for idx in np.argsort(weights)[::-1]:
+            state = states[int(idx)]
+            if state not in claimed:
+                claimed.add(state)
+                assigned[i] = (state, float(weights[int(idx)]))
+                break
+    return tuple(
+        SpectrumLevel(
+            rank=rank,
+            energy=energy,
+            assigned=QuantumNumbers(*assigned[rank - 1][0]),
+            overlap_weight=assigned[rank - 1][1],
+            ambiguous=assigned[rank - 1][1] < diag.AMBIGUOUS_WEIGHT,
+        )
+        for rank, (energy, _, _) in enumerate(entries, start=1)
+    )
 
 
 def _dump_loop(matrix, path):
@@ -372,6 +410,72 @@ def test_each_schedule_step_solved_once(monkeypatch):
     for got, want in zip(report.levels, relabelled):
         assert got.energy == pytest.approx(want.energy, rel=1e-13)
         assert got.overlap_weight == pytest.approx(want.overlap_weight, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "params, n_max",
+    [
+        (DEFAULT_PARAMS, 34),
+        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1), 24),
+        (ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=1.0), 24),
+        (ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0), 24),
+        (ModelParams(omega1=1.0, omega2=2.0, g=0.0, hbar=1.0), 24),
+    ],
+    ids=["default-34", "hbar0.1", "sqrt3", "ties-0.5", "ties-2"],
+)
+def test_per_block_assignment_is_the_global_greedy(params, n_max):
+    spectra = [
+        (*symmetric_eigenvalues(assemble_hamiltonian(block, params), True), block)
+        for block in split_parity_blocks(build_basis(n_max))
+    ]
+    merged = np.concatenate([w for w, _, _ in spectra])
+    block_of = np.repeat(np.arange(4), [len(w) for w, _, _ in spectra])
+    order = np.argsort(merged, kind="stable")
+    # At g = 0 some rank-k cuts fall inside a run of equal energies from different blocks.
+    cut_in_tie = [
+        k for k in range(1, 41)
+        if merged[order[k - 1]] == merged[order[k]] and block_of[order[k - 1]] != block_of[order[k]]
+    ]
+    assert bool(cut_in_tie) == (params.g == 0.0)
+    for k in range(1, 41):
+        want = _assign_global(spectra, k)
+        assert assign_quantum_numbers(spectra, k) == want
+        one_block_at_a_time = []
+        for i in range(4):
+            ranked = [(w, v if j == i else None, block) for j, (w, v, block) in enumerate(spectra)]
+            one_block_at_a_time += assign_quantum_numbers(ranked, k)
+        assert tuple(sorted(one_block_at_a_time, key=lambda lvl: lvl.rank)) == want
+
+
+def test_assignment_leaves_its_input_unchanged():
+    spectra = [
+        (*symmetric_eigenvalues(assemble_hamiltonian(block, PARAMS), True, lowest=10), block)
+        for block in split_parity_blocks(build_basis(14))
+    ]
+    copies = [(w.copy(), v.copy()) for w, v, _ in spectra]
+    assign_quantum_numbers(spectra, 30)
+    for (w, v, _), (w0, v0) in zip(spectra, copies):
+        assert np.array_equal(w, w0) and np.array_equal(v, v0)
+
+
+def test_each_block_frees_its_vectors_before_the_next_solve(monkeypatch):
+    original_solve = diag.symmetric_eigenvalues
+    returned = []  # weak references to each vector array handed out
+
+    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
+        if not want_vectors:
+            return original_solve(matrix, want_vectors, lowest=lowest, values=values)
+        assert [ref() for ref in returned] == [None] * len(returned)
+        w, v = original_solve(matrix, want_vectors, lowest=lowest, values=values)
+        returned.append(weakref.ref(v))
+        return w, v
+
+    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    report = converged_levels(DEFAULT_PARAMS)
+    monkeypatch.undo()
+
+    assert len(returned) == 4
+    assert [lvl.rank for lvl in report.levels] == list(range(1, 101))
 
 
 def test_flagged_by_the_assigned_weight(default_table):
