@@ -9,22 +9,30 @@ parity blocks are the even or odd numbers of each mode.  The Hamiltonian
 of a grid is assembled from the two single-mode X matrices, in lower band
 storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
 bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
-alone with the band solver and enlarges the basis until the requested
-number of levels stops moving at the digit target.  Only the accepted
-step takes eigenvectors, by inverse iteration on each band, shifted by
-the eigenvalues already found; no n x n array is built.  It finishes one
-block at a time: solve the block's vectors, label its levels, drop the
-vectors, then go on to the next block.  The blocks share no basis
-state, so the labels are those of one claim loop over all blocks.
+alone with LAPACK's band solver and enlarges the basis until the
+requested number of levels stops moving at the digit target.  A step's
+four blocks are solved concurrently, on up to min(4, usable CPUs)
+threads: each reaches dsbevd through scipy.linalg.cython_lapack by a
+ctypes foreign call, which releases the GIL.  Only the accepted step
+takes eigenvectors, by inverse iteration on each band, shifted by the
+eigenvalues already found; no n x n array is built.  It finishes one
+block at a time, on the calling thread: solve the block's vectors, label
+its levels, drop the vectors, then go on to the next block.  The blocks
+share no basis state, so the labels are those of one claim loop over all
+blocks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .model import ModelError, ModelParams, QuantumNumbers
 from .quantum import ladder_factor
@@ -138,6 +146,68 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     return band
 
 
+def _cython_lapack(name: str, *argtypes):
+    """The LAPACK routine scipy.linalg.cython_lapack exports as name, as a ctypes function.
+
+    It is the routine scipy.linalg's own wrappers call, in the same LAPACK
+    library.  A ctypes foreign call releases the GIL while it runs; the
+    f2py wrappers behind scipy.linalg hold it.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_BUFFER = ctypes.c_void_p  # the address of a numpy array made by the caller
+#: dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info)
+_DSBEVD = _cython_lapack(
+    "dsbevd",
+    ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _BUFFER, _INT,
+    _BUFFER, _BUFFER, _INT, _BUFFER, _INT, _BUFFER, _INT, _INT,
+)
+
+#: Threads that solve a schedule step's four parity blocks at once; they
+#: start on the first submit, not at import.
+_WORKERS = min(
+    4,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals")
+
+
+def _band_values(band: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a (b + 1, n) lower band, ascending.
+
+    LAPACK dsbevd with jobz 'N' (dsbtrd band reduction, then dsterf), with
+    the arguments scipy.linalg.eigvals_banded(band, lower=True) passes it,
+    so the values are bitwise that function's.  The call releases the
+    GIL.  Raises ConvergenceFailure if dsbevd does not converge.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
+    ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
+    w = np.empty(n)
+    z = np.empty(1)  # not referenced for jobz 'N'
+    work = np.empty(max(1, 2 * n))
+    iwork = np.empty(1, dtype=np.intc)
+    info = ctypes.c_int()
+    _DSBEVD(
+        b"N", b"L", ctypes.c_int(n), ctypes.c_int(b), ab.ctypes.data, ctypes.c_int(b + 1),
+        w.ctypes.data, z.ctypes.data, ctypes.c_int(1), work.ctypes.data, ctypes.c_int(len(work)),
+        iwork.ctypes.data, ctypes.c_int(1), ctypes.byref(info),
+    )
+    if info.value > 0:
+        raise ConvergenceFailure(f"dsbevd did not converge (LAPACK info={info.value})")
+    if info.value < 0:
+        raise ValueError(f"dsbevd: argument {-info.value} had an illegal value")
+    return w
+
+
 def symmetric_eigenvalues(
     matrix: np.ndarray,
     want_vectors: bool = False,
@@ -147,19 +217,22 @@ def symmetric_eigenvalues(
     """Ascending eigenvalues of a real symmetric matrix given as its lower band.
 
     matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  The
-    values come from LAPACK's band solver (dsbtrd reduction, O(n^2 b)),
-    unless values already holds all of them, ascending, from an earlier
-    call on the same band.  A positive lowest keeps that many lowest.  For
-    want_vectors the vectors come from inverse iteration on the band,
-    shifted by those values (_band_eigenvectors), and return orthonormal,
-    one per column.  Both are deterministic for a fixed input.
+    values come from LAPACK's band solver (_band_values: dsbevd, whose
+    dsbtrd reduction is O(n^2 b)), unless values already holds all of
+    them, ascending, from an earlier call on the same band.  A positive
+    lowest keeps that many lowest.  For want_vectors the vectors come from
+    inverse iteration on the band, shifted by those values
+    (_band_eigenvectors), and return orthonormal, one per column.  Both
+    are deterministic for a fixed input.  converged_levels solves its
+    blocks' values concurrently through _band_values; the vector pass
+    runs one block at a time on the calling thread.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
         raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
     try:
         if values is None:
-            values = scipy.linalg.eigvals_banded(band, lower=True, check_finite=False)
+            values = _band_values(band)
         count = min(lowest, len(values)) if lowest > 0 else len(values)
         if not want_vectors:
             return values[:count]
@@ -270,12 +343,18 @@ class ConvergenceReport:
 
 
 def _block_spectra(params: ModelParams, n_max: int):
-    """Per-parity-block (eigenvalues, band, block) for the square cut at n_max."""
-    out = []
+    """Per-parity-block (eigenvalues, band, block) for the square cut at n_max.
+
+    Each block's eigenvalues are solved on _POOL from the moment its band
+    is assembled, so the blocks solve concurrently, and the next block
+    assembles meanwhile.  The workers call only the private _band_values:
+    a public function may be wrapped by a tracer that keeps one span stack.
+    """
+    jobs = []
     for block in split_parity_blocks(build_basis(n_max)):
         h = assemble_hamiltonian(block, params)
-        out.append((symmetric_eigenvalues(h), h, block))
-    return out
+        jobs.append((_POOL.submit(_band_values, h), h, block))
+    return [(job.result(), h, block) for job, h, block in jobs]
 
 
 def _merged_values(spectra) -> np.ndarray:
@@ -408,6 +487,10 @@ def converged_levels(
     )
 
 
+#: Rows of the band whose nonzeros dump_matrix_triplets finds with one np.nonzero.
+_DUMP_ROWS = 128
+
+
 def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     """Write the nonzero entries of a symmetric matrix as "row col value" lines.
 
@@ -420,7 +503,12 @@ def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     for d in range(b + 1):
         rows[d:, b - d] = rows[: n - d, b + d] = band[d, : n - d]
     with open(path, "w", encoding="ascii") as fh:
-        for i, row in enumerate(rows):
-            cols = np.flatnonzero(row)
-            values = row[cols].tolist()
-            fh.writelines(f"{i} {j} {v:.17g}\n" for j, v in zip((cols + i - b).tolist(), values))
+        # A nonzero per row costs one numpy call a row; one over all rows, an index of every entry.
+        for start in range(0, n, _DUMP_ROWS):
+            chunk = rows[start : start + _DUMP_ROWS]
+            i, c = np.nonzero(chunk)  # row by row, columns ascending
+            values = chunk[i, c].tolist()
+            i += start
+            fh.writelines(
+                f"{r} {j} {v:.17g}\n" for r, j, v in zip(i.tolist(), (c + i - b).tolist(), values)
+            )

@@ -1,5 +1,6 @@
 import argparse
 
+import numpy as np
 import pytest
 
 from quartosc import cli
@@ -59,6 +60,21 @@ def test_eigensolver_failure_exits_3_without_traceback(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: eigensolver did not converge\n"
+
+
+def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monkeypatch):
+    original = cli.diag.assemble_hamiltonian
+
+    def poisoned(block, params):
+        band = original(block, params)
+        band[0, -1] = np.nan  # dsbevd cannot converge on it
+        return band
+
+    monkeypatch.setattr(cli.diag, "assemble_hamiltonian", poisoned)
+    code, out, err = run(capsys, "levels", "--k", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: dsbevd did not converge") and err.count("\n") == 1
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path):

@@ -1,5 +1,8 @@
+import itertools
 import math
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -354,6 +357,63 @@ def test_degenerate_shifts_give_unit_vectors(omega2):
     assert len({lvl.assigned for lvl in levels}) == len(levels)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT_PARAMS,
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0),
+    ],
+    ids=["default", "hbar0.1", "sqrt3", "g0"],
+)
+def test_band_values_are_bitwise_eigvals_banded(params):
+    for n_max in (1, 2, 3, 14, 34, 69):
+        for block in split_parity_blocks(build_basis(n_max)):
+            band = assemble_hamiltonian(block, params)
+            oracle = scipy.linalg.eigvals_banded(band, lower=True, check_finite=False)
+            assert np.array_equal(diag._band_values(band), oracle)
+
+
+def test_converged_levels_independent_of_the_worker_count(monkeypatch):
+    concurrent = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
+    with ThreadPoolExecutor(max_workers=1) as one_worker:
+        monkeypatch.setattr(diag, "_POOL", one_worker)
+        sequential = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
+    assert concurrent == sequential
+
+
+def test_worker_failure_raises_convergence_failure(monkeypatch):
+    original = diag.assemble_hamiltonian
+    count = itertools.count()
+
+    def poisoned(block, params):
+        band = original(block, params)
+        if next(count) == 6:  # the second step's third block
+            band[0, -1] = np.nan  # dsbevd cannot converge on it
+        return band
+
+    monkeypatch.setattr(diag, "assemble_hamiltonian", poisoned)
+    with pytest.raises(ConvergenceFailure, match="dsbevd did not converge"):
+        converged_levels(DEFAULT_PARAMS)
+    monkeypatch.undo()
+    assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24  # the pool still works
+
+
+def test_pool_threads_are_reused(monkeypatch):
+    original, workers = diag._band_values, set()
+
+    def spy_values(band):
+        workers.add(threading.current_thread())
+        return original(band)
+
+    monkeypatch.setattr(diag, "_band_values", spy_values)
+    for _ in range(3):
+        converged_levels(DEFAULT_PARAMS, k=20)
+    assert 1 <= len(workers) <= diag._WORKERS and threading.main_thread() not in workers
+    assert threading.active_count() <= 1 + diag._WORKERS
+
+
 def test_block_spectra_match_full_matrix():
     h = assemble_hamiltonian(build_basis(6), PARAMS)
     full = symmetric_eigenvalues(h)
@@ -380,26 +440,35 @@ def test_converged_levels_reference_run(default_table):
 
 
 def test_each_schedule_step_solved_once(monkeypatch):
-    assembled, solves = [], []
+    assembled, values_solved, solves = [], [], []
     original_assemble, original_solve = diag.assemble_hamiltonian, diag.symmetric_eigenvalues
+    original_values = diag._band_values
 
     def spy_assemble(block, params):
         h = original_assemble(block, params)
         assembled.append((block, h))
         return h
 
+    def spy_values(band):  # runs on the pool's threads; list.append is atomic
+        values_solved.append(band)
+        return original_values(band)
+
     def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
         solves.append((want_vectors, lowest))
         return original_solve(matrix, want_vectors, lowest=lowest, values=values)
 
     monkeypatch.setattr(diag, "assemble_hamiltonian", spy_assemble)
+    monkeypatch.setattr(diag, "_band_values", spy_values)
     monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
     report = converged_levels(DEFAULT_PARAMS)
     monkeypatch.undo()
 
     assert len(report.history) + 1 == 5
     assert len(assembled) == 20
-    assert [lowest for vectors, lowest in solves if not vectors] == [0] * 20
+    # Values-only solves: each assembled band once, at the kernel.
+    assert len(values_solved) == 20
+    assert {id(band) for band in values_solved} == {id(h) for _, h in assembled}
+    assert [lowest for vectors, lowest in solves if not vectors] == []
     shares = [lowest for vectors, lowest in solves if vectors]
     assert len(shares) <= 4 and sum(shares) == 100
 
@@ -540,8 +609,9 @@ def test_matrix_dump_round_trips(tmp_path):
 
 
 def test_matrix_dump_matches_entrywise_writer(tmp_path):
-    h = assemble_hamiltonian(build_basis(6), PARAMS)
-    h[1, 0] = -0.0  # H[1, 0] and H[0, 1]
-    dump_matrix_triplets(h, str(tmp_path / "fast.txt"))
-    _dump_loop(_dense(h), str(tmp_path / "loop.txt"))
-    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+    for n_max in (6, 14):  # 49 rows; 225 rows, across a chunk boundary
+        h = assemble_hamiltonian(build_basis(n_max), PARAMS)
+        h[1, 0] = -0.0  # H[1, 0] and H[0, 1]
+        dump_matrix_triplets(h, str(tmp_path / "fast.txt"))
+        _dump_loop(_dense(h), str(tmp_path / "loop.txt"))
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
