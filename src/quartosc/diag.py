@@ -11,15 +11,18 @@ storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
 bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
 alone with LAPACK's band solver and enlarges the basis until the
 requested number of levels stops moving at the digit target.  A step's
-four blocks are solved concurrently, on up to min(4, usable CPUs)
-threads: each reaches dsbevd through scipy.linalg.cython_lapack by a
-ctypes foreign call, which releases the GIL.  Only the accepted step
+four blocks are solved concurrently, on a module-level pool of up to
+min(4, usable CPUs) threads, rebuilt in a forked child: each reaches
+dsbevd through scipy.linalg.cython_lapack by a ctypes foreign call,
+which releases the GIL.  Each step ranks its k lowest levels once, by
+one stable sort of all blocks' eigenvalues.  Only the accepted step
 takes eigenvectors, by inverse iteration on each band, shifted by the
 eigenvalues already found; no n x n array is built.  It finishes one
-block at a time, on the calling thread: solve the block's vectors, label
-its levels, drop the vectors, then go on to the next block.  The blocks
-share no basis state, so the labels are those of one claim loop over all
-blocks.
+block at a time, on the calling thread: solve the vectors of a block
+that holds a ranked level, label that block's levels
+(assign_quantum_numbers), drop the vectors, then go on to the next
+block.  The blocks share no basis state, so the labels are those of one
+claim loop over all blocks.
 """
 
 from __future__ import annotations
@@ -178,7 +181,16 @@ _WORKERS = min(
     4,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals")
+
+
+def _start_pool() -> None:  # also in a forked child, which inherits _POOL but not its threads
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _band_values(band: np.ndarray) -> np.ndarray:
@@ -357,64 +369,44 @@ def _block_spectra(params: ModelParams, n_max: int):
     return [(job.result(), h, block) for job, h, block in jobs]
 
 
-def _merged_values(spectra) -> np.ndarray:
-    return np.sort(np.concatenate([w for w, _, _ in spectra]))
+def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[SpectrumLevel, ...]:
+    """Label one parity block's ranked levels by dominant basis-state weight.
 
-
-def assign_quantum_numbers(spectra, k: int) -> tuple[SpectrumLevel, ...]:
-    """Label the k lowest levels by dominant basis-state weight.
-
-    spectra holds, per block, (eigenvalues, eigenvector columns, BasisSpec),
-    eigenvalues ascending.  The k lowest levels are taken by a stable sort
-    of all blocks' eigenvalues, so equal energies keep block order.  In
-    each block, levels claim basis states in order of their largest
-    squared eigenvector component, largest first, ties in rank order.
-    Each level first claims the state carrying that component; when it is
-    already claimed the level moves to its next-best unclaimed state, so
-    the final label set has no duplicates.  The blocks' basis states are
-    disjoint, so claims never meet across blocks, and the labels are those
-    of one such loop over all k levels.  A level is flagged ambiguous when
-    the weight of the state it ends up with is below AMBIGUOUS_WEIGHT.
-
-    A block whose eigenvectors are None is ranked but not labelled, and
-    its levels are left out of the result: converged_levels labels one
-    block per call, so each block's vectors are freed before the next
-    block's are solved.  The input arrays are not modified.
+    The block's j-th lowest eigenvalue values[j], with eigenvector column
+    vectors[:, j] over block.states, has global rank ranks[j], for j <
+    len(ranks): the ranked levels are a prefix of the block, since its
+    eigenvalues ascend.  Levels claim basis states in order of their
+    largest squared eigenvector component, largest first, ties in rank
+    order.  Each level first claims the state carrying that component;
+    when it is already claimed the level moves to its next-best unclaimed
+    state, so the labels have no duplicates.  Parity blocks share no basis
+    state, so claims never meet across blocks, and the labels of all
+    blocks together are those of one such loop over all ranked levels.  A
+    level is flagged ambiguous when the weight of the state it ends up
+    with is below AMBIGUOUS_WEIGHT.  The input arrays are not modified.
     """
-    merged = np.concatenate([w for w, _, _ in spectra])
-    top = np.argsort(merged, kind="stable")[:k]
-    ranks = np.zeros(len(merged), dtype=np.int64)
-    ranks[top] = np.arange(1, len(top) + 1)
-
+    count = len(ranks)
+    weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
+    states = block.states
+    order = sorted(range(count), key=lambda j: float(weights[j].max()), reverse=True)
+    claimed: set[tuple[int, int]] = set()
     levels = []
-    start = 0
-    for w, v, block in spectra:
-        block_ranks = ranks[start : start + len(w)]
-        start += len(w)
-        # The block's ranked levels are a prefix of it: its eigenvalues ascend.
-        count = int(np.count_nonzero(block_ranks))
-        if v is None or not count:
-            continue
-        weights = (v[:, :count] ** 2).T  # one row of squared components per level
-        states = block.states
-        order = sorted(range(count), key=lambda j: float(weights[j].max()), reverse=True)
-        claimed: set[tuple[int, int]] = set()
-        for j in order:
-            for idx in np.argsort(weights[j])[::-1]:
-                state = states[int(idx)]
-                if state not in claimed:
-                    claimed.add(state)
-                    weight = float(weights[j, int(idx)])
-                    levels.append(
-                        SpectrumLevel(
-                            rank=int(block_ranks[j]),
-                            energy=float(w[j]),
-                            assigned=QuantumNumbers(*state),
-                            overlap_weight=weight,
-                            ambiguous=weight < AMBIGUOUS_WEIGHT,
-                        )
+    for j in order:
+        for idx in np.argsort(weights[j])[::-1]:
+            state = states[int(idx)]
+            if state not in claimed:
+                claimed.add(state)
+                weight = float(weights[j, int(idx)])
+                levels.append(
+                    SpectrumLevel(
+                        rank=int(ranks[j]),
+                        energy=float(values[j]),
+                        assigned=QuantumNumbers(*state),
+                        overlap_weight=weight,
+                        ambiguous=weight < AMBIGUOUS_WEIGHT,
                     )
-                    break
+                )
+                break
     levels.sort(key=lambda lvl: lvl.rank)
     return tuple(levels)
 
@@ -428,15 +420,15 @@ def converged_levels(
     """Enlarge the basis until the lowest k levels hold to the digit target.
 
     The stopping rule compares consecutive schedule steps level by level
-    against the mixed threshold 0.5 * 10^-digits * max(1, |E|); the
-    reported levels come from the final step, labelled by the dominant
-    weight of eigenvectors solved on its retained block bands for the
-    k lowest levels only, one block at a time.  Which levels are the k
-    lowest is fixed from the eigenvalues before any vector is solved.
-    Raises BudgetExceeded past n_max_cap, and
-    UnresolvableDigits at the first step where the smallest threshold is
-    no larger than ROUNDING_FACTOR * eps * max|E|, the eigensolver's
-    rounding scale.
+    against the mixed threshold 0.5 * 10^-digits * max(1, |E|).  Each step
+    ranks its k lowest levels once, by a stable sort of all blocks'
+    eigenvalues, so equal energies keep block order.  The reported levels
+    come from the final step: one block at a time, each block holding a
+    ranked level solves eigenvectors on its retained band and is labelled.
+    Raises BudgetExceeded past n_max_cap, also when no basis within it
+    holds k levels, and UnresolvableDigits at the first step where the
+    smallest threshold is no larger than ROUNDING_FACTOR * eps * max|E|,
+    the eigensolver's rounding scale.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -444,17 +436,18 @@ def converged_levels(
         raise ValueError(f"digits must be >= 1, got {digits}")
 
     n_max = SCHEDULE_START
-    while (n_max + 1) ** 2 < k:
+    while (n_max + 1) ** 2 < k and n_max <= n_max_cap:
         n_max += SCHEDULE_STEP
 
     previous = None
     history: list[tuple[int, float]] = []
     while n_max <= n_max_cap:
         spectra = _block_spectra(params, n_max)
-        spectrum = _merged_values(spectra)
-        values = spectrum[:k]
+        merged = np.concatenate([w for w, _, _ in spectra])
+        lowest = np.argsort(merged, kind="stable")[:k]
+        values = merged[lowest]
         threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
-        resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(spectrum).max())
+        resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(merged).max())
         if float(threshold.min()) <= resolution:
             raise UnresolvableDigits(
                 f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
@@ -465,16 +458,18 @@ def converged_levels(
             delta = np.abs(values - previous)
             history.append((n_max, float(delta.max())))
             if bool(np.all(delta < threshold)):
-                # Each block solves vectors for its levels up to the k-th (ties past k
-                # are cut by assign), is labelled, and drops them before the next solve.
-                shares = [int(np.searchsorted(w, values[-1], side="right")) for w, _, _ in spectra]
-                ranked = [(w[:c], None, block) for (w, _, block), c in zip(spectra, shares)]
+                # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its
+                # lowest.  Vectors up to the k-th value keep a degenerate run cut at k whole
+                # for _canonical_basis, and are dropped before the next block's solve.
+                block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
                 levels: list[SpectrumLevel] = []
-                for i, ((w, h, block), c) in enumerate(zip(spectra, shares)):
-                    if c:
-                        ranked[i] = (*symmetric_eigenvalues(h, True, lowest=c, values=w), block)
-                        levels += assign_quantum_numbers(ranked, k)
-                        ranked[i] = (w[:c], None, block)
+                for i, (w, h, block) in enumerate(spectra):
+                    ranks = np.flatnonzero(block_of == i) + 1
+                    if len(ranks):
+                        share = int(np.searchsorted(w, values[-1], side="right"))
+                        levels += assign_quantum_numbers(
+                            *symmetric_eigenvalues(h, True, lowest=share, values=w), block, ranks
+                        )
                 levels.sort(key=lambda lvl: lvl.rank)
                 return ConvergenceReport(
                     final_n_max=n_max, levels=tuple(levels), history=tuple(history)

@@ -1,8 +1,13 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quartosc
 from quartosc import cli
 from quartosc.cli import main
 
@@ -75,6 +80,22 @@ def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monke
     assert code == 3
     assert out == ""
     assert err.startswith("error: dsbevd did not converge") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["levels", "--k", "10000000000000000000"], ["compare", "--rows", "10000000000000000000"]],
+)
+def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
+    # Run as a process, so a start-up loop without a bound fails on the timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(quartosc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quartosc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path):

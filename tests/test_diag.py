@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +18,6 @@ from quartosc.diag import (
     MatrixOverflow,
     SpectrumLevel,
     _block_spectra,
-    _merged_values,
     assemble_hamiltonian,
     assign_quantum_numbers,
     build_basis,
@@ -109,6 +110,24 @@ def _assign_global(spectra, k):
         )
         for rank, (energy, _, _) in enumerate(entries, start=1)
     )
+
+
+def _merged(params, n_max):
+    """All eigenvalues of the square cut at n_max, ascending, from its parity blocks."""
+    return np.sort(np.concatenate([w for w, _, _ in _block_spectra(params, n_max)]))
+
+
+def _assign_per_block(spectra, k):
+    """assign_quantum_numbers on each block holding one of the k lowest levels, merged by rank."""
+    merged = np.concatenate([w for w, _, _ in spectra])
+    block_of = np.repeat(np.arange(len(spectra)), [len(w) for w, _, _ in spectra])
+    block_of = block_of[np.argsort(merged, kind="stable")[:k]]
+    levels = []
+    for i, (w, v, block) in enumerate(spectra):
+        ranks = np.flatnonzero(block_of == i) + 1
+        if len(ranks):
+            levels += assign_quantum_numbers(w, v, block, ranks)
+    return tuple(sorted(levels, key=lambda lvl: lvl.rank))
 
 
 def _dump_loop(matrix, path):
@@ -414,10 +433,30 @@ def test_pool_threads_are_reused(monkeypatch):
     assert threading.active_count() <= 1 + diag._WORKERS
 
 
+def _final_n_max_in_child(queue):
+    queue.put(converged_levels(DEFAULT_PARAMS, k=20).final_n_max)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_forked_child_gets_its_own_pool():
+    # The parent's pool threads are running; a forked child inherits _POOL without them.
+    assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_final_n_max_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == 24
+    finally:
+        child.kill()
+        child.join()
+        queue.close()
+
+
 def test_block_spectra_match_full_matrix():
     h = assemble_hamiltonian(build_basis(6), PARAMS)
     full = symmetric_eigenvalues(h)
-    merged = _merged_values(_block_spectra(PARAMS, 6))
+    merged = _merged(PARAMS, 6)
     np.testing.assert_allclose(merged, full, atol=1e-12)
 
 
@@ -425,7 +464,7 @@ def test_interlacing_across_nested_bases():
     k = 100
     prev = None
     for n_max in (14, 19, 24, 29):
-        values = _merged_values(_block_spectra(PARAMS, n_max))[:k]
+        values = _merged(PARAMS, n_max)[:k]
         if prev is not None:
             assert np.all(values <= prev + 1e-12)
         prev = values
@@ -473,7 +512,7 @@ def test_each_schedule_step_solved_once(monkeypatch):
     assert len(shares) <= 4 and sum(shares) == 100
 
     full = [(*symmetric_eigenvalues(h, True), block) for block, h in assembled[-4:]]
-    relabelled = assign_quantum_numbers(full, 100)
+    relabelled = _assign_global(full, 100)
     assert [lvl.assigned for lvl in report.levels] == [lvl.assigned for lvl in relabelled]
     assert [lvl.ambiguous for lvl in report.levels] == [lvl.ambiguous for lvl in relabelled]
     for got, want in zip(report.levels, relabelled):
@@ -507,13 +546,42 @@ def test_per_block_assignment_is_the_global_greedy(params, n_max):
     ]
     assert bool(cut_in_tie) == (params.g == 0.0)
     for k in range(1, 41):
-        want = _assign_global(spectra, k)
-        assert assign_quantum_numbers(spectra, k) == want
-        one_block_at_a_time = []
-        for i in range(4):
-            ranked = [(w, v if j == i else None, block) for j, (w, v, block) in enumerate(spectra)]
-            one_block_at_a_time += assign_quantum_numbers(ranked, k)
-        assert tuple(sorted(one_block_at_a_time, key=lambda lvl: lvl.rank)) == want
+        assert _assign_per_block(spectra, k) == _assign_global(spectra, k)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("omega2", [0.5, 2.0])
+def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, omega2, k):
+    # At g = 0 the k-th level ties with the lowest level of another block, which the
+    # stable ranking leaves out: that block has eigenvalues up to the k-th but no rank.
+    params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
+    original_solve, original_assign = diag.symmetric_eigenvalues, diag.assign_quantum_numbers
+    solved, labelled = [], []
+
+    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
+        if want_vectors:
+            solved.append(lowest)
+        return original_solve(matrix, want_vectors, lowest=lowest, values=values)
+
+    def spy_assign(*args):
+        levels = original_assign(*args)
+        labelled.append(levels)
+        return levels
+
+    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    monkeypatch.setattr(diag, "assign_quantum_numbers", spy_assign)
+    report = converged_levels(params, k=k)
+    monkeypatch.undo()
+
+    spectra = _block_spectra(params, report.final_n_max)
+    kth = report.levels[-1].energy
+    reaching = sum(bool(np.any(w <= kth)) for w, _, _ in spectra)
+    ranked = len({(lvl.assigned.n1 % 2, lvl.assigned.n2 % 2) for lvl in report.levels})
+    assert ranked < reaching
+    assert len(solved) == len(labelled) == ranked
+    assert all(labelled)
+    full = [(*symmetric_eigenvalues(h, True, values=w), block) for w, h, block in spectra]
+    assert report.levels == _assign_global(full, k)
 
 
 def test_assignment_leaves_its_input_unchanged():
@@ -522,7 +590,8 @@ def test_assignment_leaves_its_input_unchanged():
         for block in split_parity_blocks(build_basis(14))
     ]
     copies = [(w.copy(), v.copy()) for w, v, _ in spectra]
-    assign_quantum_numbers(spectra, 30)
+    for w, v, block in spectra:
+        assign_quantum_numbers(w, v, block, np.arange(1, 11))
     for (w, v, _), (w0, v0) in zip(spectra, copies):
         assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
