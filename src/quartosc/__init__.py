@@ -6,13 +6,7 @@ theory, closed-form quantum perturbation theory with explicit hbar^2
 corrections, and converged truncated-basis diagonalization.
 """
 
-from .classical import (
-    ActionPair,
-    AnglePair,
-    angle_average,
-    ebk_actions,
-    semiclassical_series,
-)
+from .classical import ActionPair, ebk_actions, semiclassical_series
 from .diag import BudgetExceeded, ConvergenceReport, SpectrumLevel, converged_levels
 from .model import (
     DEFAULT_PARAMS,
@@ -30,7 +24,6 @@ from .report import ComparisonRow, MeanSpacing, comparison_table, hbar_scan
 
 __all__ = [
     "ActionPair",
-    "AnglePair",
     "BudgetExceeded",
     "ComparisonRow",
     "ConvergenceReport",
@@ -44,7 +37,6 @@ __all__ = [
     "QuantumNumbers",
     "ResonantFrequencies",
     "SpectrumLevel",
-    "angle_average",
     "comparison_table",
     "converged_levels",
     "decompose_e2",

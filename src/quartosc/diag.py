@@ -11,18 +11,20 @@ storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
 bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
 alone with LAPACK's band solver and enlarges the basis until the
 requested number of levels stops moving at the digit target.  A step's
-four blocks are solved concurrently, on a module-level pool of up to
-min(4, usable CPUs) threads, rebuilt in a forked child: each reaches
-dsbevd through scipy.linalg.cython_lapack by a ctypes foreign call,
-which releases the GIL.  Each step ranks its k lowest levels once, by
-one stable sort of all blocks' eigenvalues.  Only the accepted step
-takes eigenvectors, by inverse iteration on each band, shifted by the
-eigenvalues already found; no n x n array is built.  It finishes one
-block at a time, on the calling thread: solve the vectors of a block
-that holds a ranked level, label that block's levels
-(assign_quantum_numbers), drop the vectors, then go on to the next
-block.  The blocks share no basis state, so the labels are those of one
-claim loop over all blocks.
+four blocks are solved concurrently, on a pool of up to min(4, usable
+CPUs) threads that converged_levels opens for its steps and joins
+before it returns, so no thread outlives a call: each reaches dsbevd
+through scipy.linalg.cython_lapack by a ctypes foreign call, which
+releases the GIL.  Each step ranks its k lowest levels once, by one
+stable sort of all blocks' eigenvalues.  Only the accepted step takes
+eigenvectors, by inverse iteration on each band, shifted by the
+eigenvalues already found and scaled by a power of two, so that any
+valid g and hbar stay inside the exponent range; no n x n array is
+built.  It finishes one block at a time, on the calling thread: solve
+the vectors of a block that holds a ranked level, label that block's
+levels (assign_quantum_numbers), drop the vectors, then go on to the
+next block.  The blocks share no basis state, so the labels are those
+of one claim loop over all blocks.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     H[c + d, c], zero past the matrix.  With d1, d2 the widest nonzero
     diagonals of the single-mode X matrices, b = d1 m2 + d2: m2 + 1 for a
     parity block, 2 m2 + 2 for the square cut.  Entries are computed in the
-    product order of v_matrix_element and e0_quantum, so each is bitwise
-    theirs.  Raises MatrixOverflow if an entry is not finite.
+    product order of oracles.v_matrix_element and quantum.e0_quantum, so
+    each is bitwise theirs.  Raises MatrixOverflow if an entry is not finite.
     """
     x1, x2 = _mode_matrix(basis.modes1), _mode_matrix(basis.modes2)
     m1, m2 = len(x1), len(x2)
@@ -175,22 +177,12 @@ _DSBEVD = _cython_lapack(
     _BUFFER, _BUFFER, _INT, _BUFFER, _INT, _BUFFER, _INT, _INT,
 )
 
-#: Threads that solve a schedule step's four parity blocks at once; they
-#: start on the first submit, not at import.
+#: Threads that solve a schedule step's four parity blocks at once, in a
+#: pool that lives for one converged_levels call.
 _WORKERS = min(
     4,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
-
-
-def _start_pool() -> None:  # also in a forked child, which inherits _POOL but not its threads
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals")
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _band_values(band: np.ndarray) -> np.ndarray:
@@ -256,31 +248,41 @@ def symmetric_eigenvalues(
 def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Eigenvectors of the lower band for values[:count], one per column.
 
-    values holds all the band's eigenvalues, ascending.  Inverse iteration
-    as LAPACK's dstein does it: per eigenvalue, one LU factorization of
-    H - lambda I in general band storage (dgbtrf), pivots below eps max|E|
-    raised to it, then band solves (dgbtrs) from a seeded start vector,
-    each followed by Gram-Schmidt against the earlier vectors of its
-    cluster (gaps below 1e-3 max|E|), until the residual |Hx - lambda x|
-    is at the rounding scale ROUNDING_FACTOR eps max|E|.  Each run of
-    eigenvalues no more than eps max|E| apart then gets a canonical basis
-    of its eigenspace (_canonical_basis).  Raises ConvergenceFailure if a
-    vector misses the rounding scale within INVERSE_ITERATIONS solves.
+    values holds all the band's eigenvalues, ascending.  Band and values
+    are first scaled by the power of two that puts max|E| in [0.5, 1),
+    and band entries below eps max|E| / n are dropped from the
+    factorization.  Inverse iteration as LAPACK's dstein does it: per
+    eigenvalue, one LU factorization of H - lambda I in general band
+    storage (dgbtrf), pivots below eps max|E| raised to it, then band
+    solves (dgbtrs) from a seeded start vector, each followed by
+    Gram-Schmidt against the earlier vectors of its cluster (gaps below
+    1e-3 max|E|), until the residual |Hx - lambda x| is at the rounding
+    scale ROUNDING_FACTOR eps max|E|.  Each run of eigenvalues no more
+    than eps max|E| apart then gets a canonical basis of its eigenspace
+    (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
+    rounding scale within INVERSE_ITERATIONS solves.
     """
     b, n = band.shape[0] - 1, band.shape[1]
-    scale = max(abs(values[0]), abs(values[-1]))  # max|E|
+    # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
+    # solves, which grow x by up to 1 / (eps max|E|), cannot overflow.
+    exponent = -np.frexp(max(abs(values[0]), abs(values[-1])))[1]
+    lower = np.asfortranarray(np.ldexp(band, exponent))
+    shifts = np.ldexp(values, exponent)
+    scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
     floor = np.finfo(float).eps * scale
-    lower = np.asfortranarray(band)
+    # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
+    # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
+    kept = np.where(np.abs(lower) < floor / n, 0.0, lower)
     # Row 2b + i - j of the general band holds H[i, j]; rows 0..b-1 are LU fill-in.
     general = np.zeros((3 * b + 1, n), order="F")
     for d in range(b + 1):
-        general[2 * b + d, : n - d] = general[2 * b - d, d:] = band[d, : n - d]
+        general[2 * b + d, : n - d] = general[2 * b - d, d:] = kept[d, : n - d]
     lu = np.empty_like(general)
     rng = np.random.default_rng(0)
     vectors = np.empty((count, n))
     first = 0  # the current cluster's first eigenvalue
-    for j, shift in enumerate(values[:count]):
-        if j and shift - values[j - 1] > 1e-3 * scale:
+    for j, shift in enumerate(shifts[:count]):
+        if j and shift - shifts[j - 1] > 1e-3 * scale:
             first = j
         lu[...] = general
         lu[2 * b] -= shift
@@ -301,11 +303,11 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
                 break
         else:
             raise ConvergenceFailure(
-                f"inverse iteration for eigenvalue {shift!r} missed the rounding scale "
+                f"inverse iteration for eigenvalue {float(values[j])} missed the rounding scale "
                 f"after {INVERSE_ITERATIONS} solves"
             )
         vectors[j] = x
-    edges = np.flatnonzero(np.diff(values[:count]) > floor) + 1
+    edges = np.flatnonzero(np.diff(shifts[:count]) > floor) + 1
     for lo, hi in zip([0, *edges], [*edges, count]):
         if hi - lo > 1:
             vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
@@ -354,10 +356,10 @@ class ConvergenceReport:
     history: tuple[tuple[int, float], ...]
 
 
-def _block_spectra(params: ModelParams, n_max: int):
+def _block_spectra(params: ModelParams, n_max: int, pool: ThreadPoolExecutor):
     """Per-parity-block (eigenvalues, band, block) for the square cut at n_max.
 
-    Each block's eigenvalues are solved on _POOL from the moment its band
+    Each block's eigenvalues are solved on pool from the moment its band
     is assembled, so the blocks solve concurrently, and the next block
     assembles meanwhile.  The workers call only the private _band_values:
     a public function may be wrapped by a tracer that keeps one span stack.
@@ -365,7 +367,7 @@ def _block_spectra(params: ModelParams, n_max: int):
     jobs = []
     for block in split_parity_blocks(build_basis(n_max)):
         h = assemble_hamiltonian(block, params)
-        jobs.append((_POOL.submit(_band_values, h), h, block))
+        jobs.append((pool.submit(_band_values, h), h, block))
     return [(job.result(), h, block) for job, h, block in jobs]
 
 
@@ -435,48 +437,60 @@ def converged_levels(
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
+    n_top = n_max_cap - (n_max_cap - SCHEDULE_START) % SCHEDULE_STEP  # the last scheduled n_max
+    held = (n_top + 1) ** 2 if n_top >= SCHEDULE_START else 0
+    if held < k:
+        raise BudgetExceeded(
+            f"{k} levels requested, but no scheduled basis within n_max={n_max_cap} "
+            f"holds more than {held}"
+        )
     n_max = SCHEDULE_START
-    while (n_max + 1) ** 2 < k and n_max <= n_max_cap:
+    while (n_max + 1) ** 2 < k:
         n_max += SCHEDULE_STEP
 
     previous = None
     history: list[tuple[int, float]] = []
-    while n_max <= n_max_cap:
-        spectra = _block_spectra(params, n_max)
-        merged = np.concatenate([w for w, _, _ in spectra])
-        lowest = np.argsort(merged, kind="stable")[:k]
-        values = merged[lowest]
-        threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
-        resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(merged).max())
-        if float(threshold.min()) <= resolution:
-            raise UnresolvableDigits(
-                f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
-                f"{threshold.min():.1e} <= rounding scale "
-                f"{ROUNDING_FACTOR:g}*eps*max|E| = {resolution:.1e}"
-            )
-        if previous is not None:
-            delta = np.abs(values - previous)
-            history.append((n_max, float(delta.max())))
-            if bool(np.all(delta < threshold)):
-                # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its
-                # lowest.  Vectors up to the k-th value keep a degenerate run cut at k whole
-                # for _canonical_basis, and are dropped before the next block's solve.
-                block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
-                levels: list[SpectrumLevel] = []
-                for i, (w, h, block) in enumerate(spectra):
-                    ranks = np.flatnonzero(block_of == i) + 1
-                    if len(ranks):
-                        share = int(np.searchsorted(w, values[-1], side="right"))
-                        levels += assign_quantum_numbers(
-                            *symmetric_eigenvalues(h, True, lowest=share, values=w), block, ranks
-                        )
-                levels.sort(key=lambda lvl: lvl.rank)
-                return ConvergenceReport(
-                    final_n_max=n_max, levels=tuple(levels), history=tuple(history)
+    # One pool serves every step of this call; leaving the block joins its threads.
+    with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals") as pool:
+        while n_max <= n_max_cap:
+            spectra = _block_spectra(params, n_max, pool)
+            merged = np.concatenate([w for w, _, _ in spectra])
+            lowest = np.argsort(merged, kind="stable")[:k]
+            values = merged[lowest]
+            threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
+            resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(merged).max())
+            if float(threshold.min()) <= resolution:
+                raise UnresolvableDigits(
+                    f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
+                    f"{threshold.min():.1e} <= rounding scale "
+                    f"{ROUNDING_FACTOR:g}*eps*max|E| = {resolution:.1e}"
                 )
-        previous = values
-        del spectra  # release this step's bands before the next step assembles
-        n_max += SCHEDULE_STEP
+            if previous is not None:
+                delta = np.abs(values - previous)
+                history.append((n_max, float(delta.max())))
+                if bool(np.all(delta < threshold)):
+                    # Rank r's level is in block block_of[r - 1]; a block's ranked levels are
+                    # its lowest.  Vectors up to the k-th value keep a degenerate run cut at k
+                    # whole for _canonical_basis, and are dropped before the next block's solve.
+                    sizes = [len(w) for w, _, _ in spectra]
+                    block_of = np.repeat(range(len(spectra)), sizes)[lowest]
+                    levels: list[SpectrumLevel] = []
+                    for i, (w, h, block) in enumerate(spectra):
+                        ranks = np.flatnonzero(block_of == i) + 1
+                        if len(ranks):
+                            share = int(np.searchsorted(w, values[-1], side="right"))
+                            levels += assign_quantum_numbers(
+                                *symmetric_eigenvalues(h, True, lowest=share, values=w),
+                                block,
+                                ranks,
+                            )
+                    levels.sort(key=lambda lvl: lvl.rank)
+                    return ConvergenceReport(
+                        final_n_max=n_max, levels=tuple(levels), history=tuple(history)
+                    )
+            previous = values
+            del spectra  # release this step's bands before the next step assembles
+            n_max += SCHEDULE_STEP
     raise BudgetExceeded(
         f"first {k} levels not converged to {digits} digits by n_max={n_max_cap}"
     )

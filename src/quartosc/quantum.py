@@ -2,8 +2,9 @@
 
 The coupling operator in the two-mode number basis only connects states
 with Delta n in {0, +2, -2} per mode, so the second-order sum runs over
-at most eight intermediate states and can be done both in closed form
-and by brute force; the two routes cross-check each other.
+at most eight intermediate states and has a closed form; its
+brute-force sum, the independent check of that form, lives in
+quartosc.oracles.
 
 The second-order energy splits into the torus-quantized classical term
 plus an hbar^2 quantum correction that is linear in the quantum numbers.
@@ -19,27 +20,14 @@ import numpy as np
 from .classical import ebk_actions, h2_actions
 from .model import ModelParams, PerturbationSeries, QuantumNumbers
 
-# Per-mode step stencil allowed by the ladder-operator selection rules.
-_STEPS = (-2, 0, 2)
-#: Two-mode steps (bra - ket) of the nonzero coupling elements, (0, 0) included.
-STENCIL = tuple((d1, d2) for d1 in _STEPS for d2 in _STEPS)
-
 
 def ladder_factor(n: int | np.ndarray, step: int):
-    """Single-mode factor of <n + step|(a + a^+)^2|n>, step in _STEPS; n may be an int array."""
+    """Single-mode factor of <n + step|(a + a^+)^2|n>, step -2, 0 or 2; n may be an int array."""
     if step == -2:
         return np.sqrt(n * (n - 1))
     if step == 2:
         return np.sqrt((n + 1) * (n + 2))
     return 2.0 * n + 1.0
-
-
-def v_matrix_element(bra: QuantumNumbers, ket: QuantumNumbers, hbar: float) -> float:
-    """<bra|V|ket> = (hbar^2/4) * factor(n1', n1) * factor(n2', n2)."""
-    d1, d2 = bra.n1 - ket.n1, bra.n2 - ket.n2
-    if (d1, d2) not in STENCIL:
-        return 0.0
-    return float(0.25 * hbar * hbar * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
 
 
 def e0_quantum(n: QuantumNumbers, params: ModelParams) -> float:
@@ -73,25 +61,6 @@ def e2_quantum_closed(n: QuantumNumbers, params: ModelParams) -> float:
         -(2 * n1 + 1) ** 2 * (n2 + 1) * (n2 + 2) / w2,
     )
     return params.hbar**3 / 32.0 * math.fsum(terms)
-
-
-def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:
-    """Second-order shift by direct sum over intermediate states.
-
-    Enumerates the 3x3 step stencil minus the origin; steps that would
-    produce a negative quantum number carry a vanishing matrix element
-    and are skipped.  Independent oracle for e2_quantum_closed.
-    """
-    hbar = params.hbar
-    terms = []
-    for d1, d2 in STENCIL:
-        m1, m2 = n.n1 + d1, n.n2 + d2
-        if (d1, d2) == (0, 0) or m1 < 0 or m2 < 0:
-            continue
-        element = v_matrix_element(QuantumNumbers(m1, m2), n, hbar)
-        denominator = hbar * (-params.omega1 * d1 - params.omega2 * d2)
-        terms.append(element * element / denominator)
-    return math.fsum(terms)
 
 
 def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:

@@ -10,21 +10,12 @@ are kept as xfail tests below so the discrepancies stay visible.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from quartosc.classical import (
-    ActionPair,
-    AnglePair,
-    angle_average,
-    coupling_v,
-    h1_actions,
-    h2_actions,
-    homological_residual,
-    s1_angle_gradient,
-    semiclassical_series,
-)
+from quartosc.classical import ActionPair, h1_actions, h2_actions, semiclassical_series
 from quartosc.diag import (
     _block_spectra,
     assemble_hamiltonian,
@@ -33,13 +24,15 @@ from quartosc.diag import (
     symmetric_eigenvalues,
 )
 from quartosc.model import ModelParams, QuantumNumbers
-from quartosc.quantum import (
-    decompose_e2,
-    e0_quantum,
-    e2_quantum_closed,
+from quartosc.oracles import (
+    AnglePair,
+    angle_average,
+    coupling_v,
     e2_quantum_sum,
-    qp_series,
+    homological_residual,
+    s1_angle_gradient,
 )
+from quartosc.quantum import decompose_e2, e0_quantum, e2_quantum_closed, qp_series
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
@@ -261,7 +254,9 @@ def test_criterion_8_hbar_scan(default_table, small_hbar_table):
 
 def test_criterion_9_property_suite(default_table):
     def merged_values(n_max):
-        return np.sort(np.concatenate([w for w, _, _ in _block_spectra(PARAMS, n_max)]))
+        with ThreadPoolExecutor() as pool:
+            spectra = _block_spectra(PARAMS, n_max, pool)
+        return np.sort(np.concatenate([w for w, _, _ in spectra]))
 
     # Cauchy interlacing across the basis schedule
     prev = None

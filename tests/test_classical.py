@@ -5,20 +5,22 @@ import pytest
 
 from quartosc.classical import (
     ActionPair,
-    AnglePair,
-    action_angle_to_cartesian,
-    angle_average,
-    coupling_v,
     ebk_actions,
     h0_actions,
     h1_actions,
     h2_actions,
-    homological_residual,
-    s1_angle_gradient,
-    s1_generator,
     semiclassical_series,
 )
 from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
+from quartosc.oracles import (
+    AnglePair,
+    action_angle_to_cartesian,
+    angle_average,
+    coupling_v,
+    homological_residual,
+    s1_angle_gradient,
+    s1_generator,
+)
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)

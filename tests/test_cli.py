@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,11 @@ def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monke
 
 @pytest.mark.parametrize(
     "argv",
-    [["levels", "--k", "10000000000000000000"], ["compare", "--rows", "10000000000000000000"]],
+    [
+        ["levels", "--k", "10000000000000000000"],
+        ["compare", "--rows", "10000000000000000000"],
+        ["levels", "--k", "6401"],
+    ],
 )
 def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
     # Run as a process, so a start-up loop without a bound fails on the timeout.
@@ -95,7 +100,47 @@ def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == (
+        f"error: {argv[-1]} levels requested, but no scheduled basis within n_max=80 "
+        "holds more than 6400\n"
+    )
+
+
+def test_the_cli_loads_no_oracle_and_leaves_no_thread():
+    probe = (
+        "import sys, threading\n"
+        "import quartosc.cli\n"
+        "assert 'quartosc.oracles' not in sys.modules\n"
+        "before = threading.active_count()\n"
+        "quartosc.cli.main(['levels', '--k', '3'])\n"
+        "assert threading.active_count() == before\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(quartosc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 4  # header + 3 levels
+
+
+def test_valid_input_at_the_edges_of_double_precision_answers_or_exits_cleanly(capsys):
+    # Tiny g makes the couplings subnormal; tiny hbar shrinks every entry toward
+    # the underflow range.  Either once broke the eigenvector pass.
+    for g in ("0", "5e-324", "1e-308", "1e-200", "1e-8", "0.1", "10"):
+        for hbar in ("1e-170", "1e-155", "1e-8", "0.1", "1"):
+            for omega2 in ("0.3", "sqrt2", "3"):
+                argv = ("levels", "--k", "5", "--g", g, "--hbar", hbar, "--omega2", omega2)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out, err = run(capsys, *argv)
+                assert caught == [], argv
+                if code == 0:
+                    assert len(out.splitlines()) == 6 and err == "", argv  # header + 5 levels
+                    continue
+                assert code in (2, 3) and out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+                if code == 3:  # a budget exit, never an eigensolver failure
+                    assert "not converged" in err, (argv, err)
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path):

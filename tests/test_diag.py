@@ -27,7 +27,8 @@ from quartosc.diag import (
     symmetric_eigenvalues,
 )
 from quartosc.model import DEFAULT_PARAMS, ModelParams, QuantumNumbers
-from quartosc.quantum import e0_quantum, v_matrix_element
+from quartosc.oracles import v_matrix_element
+from quartosc.quantum import e0_quantum
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
@@ -114,7 +115,9 @@ def _assign_global(spectra, k):
 
 def _merged(params, n_max):
     """All eigenvalues of the square cut at n_max, ascending, from its parity blocks."""
-    return np.sort(np.concatenate([w for w, _, _ in _block_spectra(params, n_max)]))
+    with ThreadPoolExecutor() as pool:
+        spectra = _block_spectra(params, n_max, pool)
+    return np.sort(np.concatenate([w for w, _, _ in spectra]))
 
 
 def _assign_per_block(spectra, k):
@@ -334,6 +337,34 @@ def test_inverse_iteration_matches_dense_eigh(params, n_max):
         assert np.linalg.norm(h @ v - v * w, axis=0).max() <= ROUNDING_FACTOR * scale
 
 
+@pytest.mark.parametrize(
+    "g, hbar",
+    [
+        (1e-308, 1.0),
+        (5e-324, 0.1),
+        (1e-8, 1e-155),
+        (0.1, 1e-170),
+        (1e119, 1e-120),  # the reference Hamiltonian times 1e-120
+        (1e-101, 1e100),  # the reference Hamiltonian times 1e100
+    ],
+)
+def test_inverse_iteration_at_the_edges_of_double_precision_matches_dense_eigh(g, hbar):
+    """Subnormal couplings, and entries near either end of the exponent range."""
+    params = ModelParams(omega1=1.0, omega2=SQRT2, g=g, hbar=hbar)
+    for block in split_parity_blocks(build_basis(14)):
+        band = assemble_hamiltonian(block, params)
+        values = symmetric_eigenvalues(band)
+        count = len(values) // 3
+        w, v = symmetric_eigenvalues(band, True, lowest=count, values=values)
+        top = np.abs(values).max()
+        h = _dense(band) / top  # the residual's squares would leave the exponent range
+        _, oracle = scipy.linalg.eigh(h, subset_by_index=(0, count - 1))
+        np.testing.assert_allclose(v**2, oracle**2, rtol=0, atol=1e-9)
+        assert np.abs(v.T @ v - np.eye(count)).max() < 1e-12
+        residual = np.linalg.norm(h @ v - v * (w / top), axis=0).max()
+        assert residual <= ROUNDING_FACTOR * np.finfo(float).eps
+
+
 def test_vector_solve_is_bitwise_repeatable():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[1], PARAMS)
     state = np.random.get_state()
@@ -359,6 +390,17 @@ def test_inverse_iteration_off_an_eigenvalue_fails():
     shifted = values + 0.5 * np.diff(values).min()
     with pytest.raises(ConvergenceFailure):
         symmetric_eigenvalues(band, True, lowest=1, values=shifted)
+
+
+def test_inverse_iteration_failure_names_the_eigenvalue_as_a_plain_float():
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
+    shifted = symmetric_eigenvalues(band) + 0.25
+    with pytest.raises(ConvergenceFailure) as failure:
+        symmetric_eigenvalues(band, True, lowest=1, values=shifted)
+    assert str(failure.value) == (
+        f"inverse iteration for eigenvalue {float(shifted[0])} missed the rounding scale "
+        f"after {diag.INVERSE_ITERATIONS} solves"
+    )
 
 
 @pytest.mark.parametrize("omega2", [0.5, 2.0])
@@ -396,9 +438,8 @@ def test_band_values_are_bitwise_eigvals_banded(params):
 
 def test_converged_levels_independent_of_the_worker_count(monkeypatch):
     concurrent = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
-    with ThreadPoolExecutor(max_workers=1) as one_worker:
-        monkeypatch.setattr(diag, "_POOL", one_worker)
-        sequential = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
+    monkeypatch.setattr(diag, "_WORKERS", 1)
+    sequential = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
     assert concurrent == sequential
 
 
@@ -420,17 +461,23 @@ def test_worker_failure_raises_convergence_failure(monkeypatch):
 
 
 def test_pool_threads_are_reused(monkeypatch):
-    original, workers = diag._band_values, set()
+    # Each call has its own pool: its threads serve every step of that call,
+    # and none outlives it.
+    original, workers = diag._band_values, []
 
     def spy_values(band):
-        workers.add(threading.current_thread())
+        workers.append(threading.current_thread())
         return original(band)
 
     monkeypatch.setattr(diag, "_band_values", spy_values)
+    before = threading.active_count()
     for _ in range(3):
-        converged_levels(DEFAULT_PARAMS, k=20)
-    assert 1 <= len(workers) <= diag._WORKERS and threading.main_thread() not in workers
-    assert threading.active_count() <= 1 + diag._WORKERS
+        assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24  # steps 14, 19, 24
+        assert threading.active_count() == before
+    assert len(workers) == 3 * 3 * 4 and threading.main_thread() not in workers
+    for call in range(0, len(workers), 3 * 4):
+        assert 1 <= len(set(workers[call : call + 3 * 4])) <= diag._WORKERS
+    assert not any(thread.is_alive() for thread in workers)
 
 
 def _final_n_max_in_child(queue):
@@ -439,7 +486,7 @@ def _final_n_max_in_child(queue):
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
 def test_forked_child_gets_its_own_pool():
-    # The parent's pool threads are running; a forked child inherits _POOL without them.
+    # The parent solves before the fork; the child must solve too.
     assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
@@ -573,7 +620,8 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     report = converged_levels(params, k=k)
     monkeypatch.undo()
 
-    spectra = _block_spectra(params, report.final_n_max)
+    with ThreadPoolExecutor() as pool:
+        spectra = _block_spectra(params, report.final_n_max, pool)
     kth = report.levels[-1].energy
     reaching = sum(bool(np.any(w <= kth)) for w, _, _ in spectra)
     ranked = len({(lvl.assigned.n1 % 2, lvl.assigned.n2 % 2) for lvl in report.levels})

@@ -5,15 +5,14 @@ import pytest
 
 from quartosc.classical import ebk_actions, h0_actions, h1_actions
 from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
+from quartosc.oracles import e2_quantum_sum, v_matrix_element
 from quartosc.quantum import (
     decompose_e2,
     e0_quantum,
     e1_quantum,
     e2_quantum_closed,
-    e2_quantum_sum,
     q2_correction,
     qp_series,
-    v_matrix_element,
 )
 
 SQRT2 = math.sqrt(2.0)
