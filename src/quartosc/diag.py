@@ -5,26 +5,26 @@ The two-mode number basis is cut per mode at n_max, giving dimension
 X = (a + a^+)^2 acts on one mode and steps n by 0 or +-2.  The coupling
 therefore preserves the per-mode parities, and every basis here is a
 tensor grid: the square cut is range(n_max + 1) per mode, and its four
-parity blocks are the even or odd numbers of each mode.  The Hamiltonian
-of a grid is assembled from the two single-mode X matrices, in lower band
-storage: in n1-major order a parity block of per-mode sizes (m1, m2) has
-bandwidth m2 + 1.  converged_levels solves each block for eigenvalues
-alone with LAPACK's band solver and enlarges the basis until the
-requested number of levels stops moving at the digit target.  A step's
-four blocks are solved concurrently, on a pool of up to min(4, usable
-CPUs) threads that converged_levels opens for its steps and joins
-before it returns, so no thread outlives a call: each reaches dsbevd
-through scipy.linalg.cython_lapack by a ctypes foreign call, which
-releases the GIL.  Each step ranks its k lowest levels once, by one
-stable sort of all blocks' eigenvalues.  Only the accepted step takes
-eigenvectors, by inverse iteration on each band, shifted by the
-eigenvalues already found and scaled by a power of two, so that any
-valid g and hbar stay inside the exponent range; no n x n array is
-built.  It finishes one block at a time, on the calling thread: solve
-the vectors of a block that holds a ranked level, label that block's
-levels (assign_quantum_numbers), drop the vectors, then go on to the
-next block.  The blocks share no basis state, so the labels are those
-of one claim loop over all blocks.
+parity blocks are the even or odd numbers of each mode.  A grid's
+Hamiltonian is assembled in lower band storage, its rows placed by the
+strides of the mode ranges: in n1-major order a parity block of per-mode
+sizes (m1, m2) has bandwidth m2 + 1.  converged_levels solves each block
+for eigenvalues alone with LAPACK's band solver and enlarges the basis
+until the requested number of levels stops moving at the digit target.  A
+step's four bands are assembled, then solved concurrently by one map on a
+pool of up to min(4, usable CPUs) threads that converged_levels opens for
+its steps and joins before it returns, so no thread outlives a call: each
+reaches dsbevd through scipy.linalg.cython_lapack by a ctypes foreign
+call, which releases the GIL.  Each step ranks its k lowest levels once,
+by one stable sort of all blocks' eigenvalues.  Only the accepted step
+takes eigenvectors, by inverse iteration on each band, shifted by the
+eigenvalues already found and scaled by a power of two, so that any valid
+g and hbar stay inside the exponent range; no n x n array is built.  It
+finishes one block at a time, on the calling thread: solve the vectors of
+a block that holds a ranked level, label that block's levels
+(assign_quantum_numbers), drop the vectors, then go on to the next block.
+The blocks share no basis state, so the labels are those of one claim loop
+over all blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .quantum import ladder_factor
 #: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
 SCHEDULE_START = 14
 SCHEDULE_STEP = 5
-DEFAULT_N_MAX_CAP = 80
+N_MAX_CAP = 80
 
 #: The eigenvalue solver's rounding scale, in units of eps * max|E|.  Checked
 #: against a long-double Rayleigh-quotient oracle, the band solver's error
@@ -105,43 +105,28 @@ def split_parity_blocks(basis: BasisSpec) -> list[BasisSpec]:
     ]
 
 
-def _mode_matrix(modes: range) -> np.ndarray:
-    """<m|(a + a^+)^2|n> for m, n in modes, each entry ladder_factor(n, m - n)."""
-    n = np.array(modes, dtype=np.int64)
-    step = n[:, None] - n
-    x = np.zeros(step.shape)
-    for d in (-2, 0, 2):
-        bra, ket = np.nonzero(step == d)
-        x[bra, ket] = ladder_factor(n[ket], d)
-    return x
-
-
 def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     """Symmetric Hamiltonian over a tensor-grid basis, as its lower band.
 
     Row d of the (b + 1, n) result is the d-th subdiagonal, band[d, c] =
-    H[c + d, c], zero past the matrix.  With d1, d2 the widest nonzero
-    diagonals of the single-mode X matrices, b = d1 m2 + d2: m2 + 1 for a
-    parity block, 2 m2 + 2 for the square cut.  Entries are computed in the
-    product order of oracles.v_matrix_element and quantum.e0_quantum, so
-    each is bitwise theirs.  Raises MatrixOverflow if an entry is not finite.
+    H[c + d, c], zero past the matrix.  X's steps by +-2 are o = 2 // step
+    places along a mode's range, or none (o = 0) in a range of at most
+    2 // step states, so b = o1 m2 + o2: m2 + 1 for a parity block,
+    2 m2 + 2 for the square cut.  Entries are computed in the product order of
+    oracles.v_matrix_element and quantum.e0_quantum, so each is bitwise
+    theirs.  Raises MatrixOverflow if an entry is not finite.
     """
-    x1, x2 = _mode_matrix(basis.modes1), _mode_matrix(basis.modes2)
-    m1, m2 = len(x1), len(x2)
+    x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
+    m1, m2 = len(basis.modes1), len(basis.modes2)
     g, hbar = params.g, params.hbar
-    steps1 = [d for d in range(m1) if np.diagonal(x1, -d).any()]
-    steps2 = [e for e in range(-m2 + 1, m2) if np.diagonal(x2, -e).any()]
-    b = max(steps1, default=0) * m2 + max(steps2, default=0)
+    b = max(x1) * m2 + max(x2)
     band = np.zeros((b + 1, m1, m2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in steps1:
-            f1 = 0.25 * hbar * hbar * np.diagonal(x1, -d)
-            for e in steps2:
-                if d * m2 + e < 0:
-                    continue  # above the diagonal
+        for (d, x1d), (e, x2e) in itertools.product(x1.items(), x2.items()):
+            if (d, e) >= (0, 0):  # on or below the diagonal
                 # Row d * m2 + e at column (j, k) holds H[(j + d, k + e), (j, k)].
                 k = slice(max(0, -e), min(m2, m2 - e))
-                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(f1, np.diagonal(x2, -e))
+                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(0.25 * hbar * hbar * x1d, x2e)
         band = band.reshape(b + 1, m1 * m2)
         n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
         band[0] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
@@ -149,6 +134,14 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     if not np.isfinite(band.max(initial=0.0)):
         raise MatrixOverflow(f"the Hamiltonian overflows double precision at g={g}, hbar={hbar}")
     return band
+
+
+def _mode_diagonals(modes: range) -> dict[int, np.ndarray]:
+    """X's nonzero diagonals over a mode's range, {e: X[i + e, i]} for e = 0 and +-o."""
+    n, o = np.array(modes), 2 // modes.step
+    if not 0 < o < len(n):
+        return {0: ladder_factor(n, 0)}
+    return {-o: ladder_factor(n[o:], -2), 0: ladder_factor(n, 0), o: ladder_factor(n[:-o], 2)}
 
 
 def _cython_lapack(name: str, *argtypes):
@@ -359,16 +352,13 @@ class ConvergenceReport:
 def _block_spectra(params: ModelParams, n_max: int, pool: ThreadPoolExecutor):
     """Per-parity-block (eigenvalues, band, block) for the square cut at n_max.
 
-    Each block's eigenvalues are solved on pool from the moment its band
-    is assembled, so the blocks solve concurrently, and the next block
-    assembles meanwhile.  The workers call only the private _band_values:
-    a public function may be wrapped by a tracer that keeps one span stack.
+    The four bands are assembled, then solved concurrently by one pool.map,
+    in block order.  The workers call only the private _band_values: a
+    public function may be wrapped by a tracer that keeps one span stack.
     """
-    jobs = []
-    for block in split_parity_blocks(build_basis(n_max)):
-        h = assemble_hamiltonian(block, params)
-        jobs.append((pool.submit(_band_values, h), h, block))
-    return [(job.result(), h, block) for job, h, block in jobs]
+    blocks = split_parity_blocks(build_basis(n_max))
+    bands = [assemble_hamiltonian(block, params) for block in blocks]
+    return list(zip(pool.map(_band_values, bands), bands, blocks))
 
 
 def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[SpectrumLevel, ...]:
@@ -417,7 +407,6 @@ def converged_levels(
     params: ModelParams,
     k: int = 100,
     digits: int = 8,
-    n_max_cap: int = DEFAULT_N_MAX_CAP,
 ) -> ConvergenceReport:
     """Enlarge the basis until the lowest k levels hold to the digit target.
 
@@ -427,7 +416,7 @@ def converged_levels(
     eigenvalues, so equal energies keep block order.  The reported levels
     come from the final step: one block at a time, each block holding a
     ranked level solves eigenvectors on its retained band and is labelled.
-    Raises BudgetExceeded past n_max_cap, also when no basis within it
+    Raises BudgetExceeded past N_MAX_CAP, also when no basis within it
     holds k levels, and UnresolvableDigits at the first step where the
     smallest threshold is no larger than ROUNDING_FACTOR * eps * max|E|,
     the eigensolver's rounding scale.
@@ -437,11 +426,11 @@ def converged_levels(
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
-    n_top = n_max_cap - (n_max_cap - SCHEDULE_START) % SCHEDULE_STEP  # the last scheduled n_max
+    n_top = N_MAX_CAP - (N_MAX_CAP - SCHEDULE_START) % SCHEDULE_STEP  # the last scheduled n_max
     held = (n_top + 1) ** 2 if n_top >= SCHEDULE_START else 0
     if held < k:
         raise BudgetExceeded(
-            f"{k} levels requested, but no scheduled basis within n_max={n_max_cap} "
+            f"{k} levels requested, but no scheduled basis within n_max={N_MAX_CAP} "
             f"holds more than {held}"
         )
     n_max = SCHEDULE_START
@@ -452,7 +441,7 @@ def converged_levels(
     history: list[tuple[int, float]] = []
     # One pool serves every step of this call; leaving the block joins its threads.
     with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals") as pool:
-        while n_max <= n_max_cap:
+        while n_max <= N_MAX_CAP:
             spectra = _block_spectra(params, n_max, pool)
             merged = np.concatenate([w for w, _, _ in spectra])
             lowest = np.argsort(merged, kind="stable")[:k]
@@ -492,7 +481,7 @@ def converged_levels(
             del spectra  # release this step's bands before the next step assembles
             n_max += SCHEDULE_STEP
     raise BudgetExceeded(
-        f"first {k} levels not converged to {digits} digits by n_max={n_max_cap}"
+        f"first {k} levels not converged to {digits} digits by n_max={N_MAX_CAP}"
     )
 
 

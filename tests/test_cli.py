@@ -44,14 +44,7 @@ def test_resonant_input_exits_2(capsys):
 
 
 def test_budget_exceeded_exits_3(capsys, monkeypatch):
-    import quartosc.cli as cli_mod
-
-    original = cli_mod.diag.converged_levels
-
-    def capped(params, k, digits):
-        return original(params, k=k, digits=digits, n_max_cap=20)
-
-    monkeypatch.setattr(cli_mod.diag, "converged_levels", capped)
+    monkeypatch.setattr(cli.diag, "N_MAX_CAP", 20)
     code, _, err = run(capsys, "levels", "--k", "100")
     assert code == 3
     assert "not converged" in err

@@ -1,7 +1,6 @@
 import itertools
 import math
 import multiprocessing
-import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -217,11 +216,17 @@ def test_no_cross_block_coupling():
                 assert h[i, j] == 0.0
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 14, 34])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 14, 34])
 @pytest.mark.parametrize(
     "params",
-    [DEFAULT_PARAMS, ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1)],
-    ids=["default", "sqrt3"],
+    [
+        DEFAULT_PARAMS,
+        ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0),
+        # 0.25 * hbar^2 is subnormal here: the product order is pinned.
+        ModelParams(omega1=1.0, omega2=SQRT2, g=1e159, hbar=1e-160),
+    ],
+    ids=["default", "sqrt3", "uncoupled", "subnormal"],
 )
 def test_array_kernel_is_bitwise_the_loop(n_max, params):
     basis = build_basis(n_max)
@@ -460,7 +465,7 @@ def test_worker_failure_raises_convergence_failure(monkeypatch):
     assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24  # the pool still works
 
 
-def test_pool_threads_are_reused(monkeypatch):
+def test_each_call_joins_its_pool_threads(monkeypatch):
     # Each call has its own pool: its threads serve every step of that call,
     # and none outlives it.
     original, workers = diag._band_values, []
@@ -484,8 +489,10 @@ def _final_n_max_in_child(queue):
     queue.put(converged_levels(DEFAULT_PARAMS, k=20).final_n_max)
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-def test_forked_child_gets_its_own_pool():
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_forked_child_solves_after_the_parent():
     # The parent solves before the fork; the child must solve too.
     assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24
     context = multiprocessing.get_context("fork")
@@ -691,9 +698,10 @@ def test_converged_levels_zero_coupling():
         assert not lvl.ambiguous
 
 
-def test_converged_levels_budget():
+def test_converged_levels_budget(monkeypatch):
+    monkeypatch.setattr(diag, "N_MAX_CAP", 20)
     with pytest.raises(BudgetExceeded):
-        converged_levels(PARAMS, k=100, digits=8, n_max_cap=20)
+        converged_levels(PARAMS, k=100, digits=8)
 
 
 def test_assignment_reference_labels(default_table):
