@@ -19,12 +19,12 @@ call, which releases the GIL.  Each step ranks its k lowest levels once,
 by one stable sort of all blocks' eigenvalues.  Only the accepted step
 takes eigenvectors, by inverse iteration on each band, shifted by the
 eigenvalues already found and scaled by a power of two, so that any valid
-g and hbar stay inside the exponent range; no n x n array is built.  It
-finishes one block at a time, on the calling thread: solve the vectors of
-a block that holds a ranked level, label that block's levels
-(assign_quantum_numbers), drop the vectors, then go on to the next block.
-The blocks share no basis state, so the labels are those of one claim loop
-over all blocks.
+g and hbar stay inside the exponent range; no n x n array is built.  That
+pass runs after the pool's threads are joined, one block at a time, on the
+calling thread: solve the vectors of a block that holds a ranked level,
+label that block's levels (assign_quantum_numbers), drop the vectors, then
+go on to the next block.  The blocks share no basis state, so the labels
+are those of one claim loop over all blocks.
 """
 
 from __future__ import annotations
@@ -410,38 +410,36 @@ def converged_levels(
 ) -> ConvergenceReport:
     """Enlarge the basis until the lowest k levels hold to the digit target.
 
-    The stopping rule compares consecutive schedule steps level by level
-    against the mixed threshold 0.5 * 10^-digits * max(1, |E|).  Each step
-    ranks its k lowest levels once, by a stable sort of all blocks'
-    eigenvalues, so equal energies keep block order.  The reported levels
-    come from the final step: one block at a time, each block holding a
-    ranked level solves eigenvectors on its retained band and is labelled.
-    Raises BudgetExceeded past N_MAX_CAP, also when no basis within it
-    holds k levels, and UnresolvableDigits at the first step where the
-    smallest threshold is no larger than ROUNDING_FACTOR * eps * max|E|,
-    the eigensolver's rounding scale.
+    n_max walks range(SCHEDULE_START, N_MAX_CAP + 1, SCHEDULE_STEP) from the
+    first basis holding k levels.  The stopping rule compares consecutive
+    steps level by level against the mixed threshold 0.5 * 10^-digits *
+    max(1, |E|).  Each step ranks its k lowest levels once, by a stable
+    sort of all blocks' eigenvalues, so equal energies keep block order.
+    After the pool is joined, the accepted step goes one block at a time:
+    each block holding a ranked level solves eigenvectors on its retained
+    band and is labelled.  Raises BudgetExceeded when no scheduled basis
+    holds k levels or the schedule ends unconverged, and UnresolvableDigits
+    at the first step where the smallest threshold is no larger than
+    ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
-    n_top = N_MAX_CAP - (N_MAX_CAP - SCHEDULE_START) % SCHEDULE_STEP  # the last scheduled n_max
-    held = (n_top + 1) ** 2 if n_top >= SCHEDULE_START else 0
+    schedule = range(SCHEDULE_START, N_MAX_CAP + 1, SCHEDULE_STEP)
+    held = (schedule[-1] + 1) ** 2 if schedule else 0
     if held < k:
         raise BudgetExceeded(
             f"{k} levels requested, but no scheduled basis within n_max={N_MAX_CAP} "
             f"holds more than {held}"
         )
-    n_max = SCHEDULE_START
-    while (n_max + 1) ** 2 < k:
-        n_max += SCHEDULE_STEP
 
     previous = None
     history: list[tuple[int, float]] = []
     # One pool serves every step of this call; leaving the block joins its threads.
     with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals") as pool:
-        while n_max <= N_MAX_CAP:
+        for n_max in (n for n in schedule if (n + 1) ** 2 >= k):  # bases holding k levels
             spectra = _block_spectra(params, n_max, pool)
             merged = np.concatenate([w for w, _, _ in spectra])
             lowest = np.argsort(merged, kind="stable")[:k]
@@ -458,31 +456,28 @@ def converged_levels(
                 delta = np.abs(values - previous)
                 history.append((n_max, float(delta.max())))
                 if bool(np.all(delta < threshold)):
-                    # Rank r's level is in block block_of[r - 1]; a block's ranked levels are
-                    # its lowest.  Vectors up to the k-th value keep a degenerate run cut at k
-                    # whole for _canonical_basis, and are dropped before the next block's solve.
-                    sizes = [len(w) for w, _, _ in spectra]
-                    block_of = np.repeat(range(len(spectra)), sizes)[lowest]
-                    levels: list[SpectrumLevel] = []
-                    for i, (w, h, block) in enumerate(spectra):
-                        ranks = np.flatnonzero(block_of == i) + 1
-                        if len(ranks):
-                            share = int(np.searchsorted(w, values[-1], side="right"))
-                            levels += assign_quantum_numbers(
-                                *symmetric_eigenvalues(h, True, lowest=share, values=w),
-                                block,
-                                ranks,
-                            )
-                    levels.sort(key=lambda lvl: lvl.rank)
-                    return ConvergenceReport(
-                        final_n_max=n_max, levels=tuple(levels), history=tuple(history)
-                    )
+                    break
             previous = values
             del spectra  # release this step's bands before the next step assembles
-            n_max += SCHEDULE_STEP
-    raise BudgetExceeded(
-        f"first {k} levels not converged to {digits} digits by n_max={N_MAX_CAP}"
-    )
+        else:
+            raise BudgetExceeded(
+                f"first {k} levels not converged to {digits} digits by n_max={N_MAX_CAP}"
+            )
+
+    # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
+    # Vectors up to the k-th value keep a degenerate run cut at k whole for _canonical_basis,
+    # and are dropped before the next block's solve.
+    block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
+    levels: list[SpectrumLevel] = []
+    for i, (w, h, block) in enumerate(spectra):
+        ranks = np.flatnonzero(block_of == i) + 1
+        if len(ranks):
+            share = int(np.searchsorted(w, values[-1], side="right"))
+            levels += assign_quantum_numbers(
+                *symmetric_eigenvalues(h, True, lowest=share, values=w), block, ranks
+            )
+    levels.sort(key=lambda lvl: lvl.rank)
+    return ConvergenceReport(final_n_max=n_max, levels=tuple(levels), history=tuple(history))
 
 
 #: Rows of the band whose nonzeros dump_matrix_triplets finds with one np.nonzero.

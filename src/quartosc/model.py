@@ -88,9 +88,6 @@ class QuantumNumbers:
             if not isinstance(v, int) or v < 0:
                 raise ModelError(f"{name} must be a non-negative integer, got {v!r}")
 
-    def swapped(self) -> "QuantumNumbers":
-        return QuantumNumbers(self.n2, self.n1)
-
 
 @dataclass(frozen=True)
 class PerturbationSeries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .classical import semiclassical_series
 from .diag import ConvergenceReport, SpectrumLevel, converged_levels
@@ -115,58 +115,44 @@ def hbar_scan(
     )
 
 
-#: CSV columns, each (header, dotted path on the row, format spec).  A numeric
-#: first step of a path indexes the row; every other step reads an attribute.
+#: CSV columns, each (header, reader of the row, format spec).
 _COMPARISON_COLUMNS = (
-    ("n1", "n.n1", "d"),
-    ("n2", "n.n2", "d"),
-    ("e_exact", "e_exact", "#.7g"),
-    ("e_sc", "e_sc", "#.7g"),
-    ("e_qp", "e_qp", "#.7g"),
-    ("err_sc_over_D", "err_sc", "#.8g"),
-    ("err_qp_over_D", "err_qp", "#.8g"),
+    ("n1", attrgetter("n.n1"), "d"),
+    ("n2", attrgetter("n.n2"), "d"),
+    ("e_exact", attrgetter("e_exact"), "#.7g"),
+    ("e_sc", attrgetter("e_sc"), "#.7g"),
+    ("e_qp", attrgetter("e_qp"), "#.7g"),
+    ("err_sc_over_D", attrgetter("err_sc"), "#.8g"),
+    ("err_qp_over_D", attrgetter("err_qp"), "#.8g"),
 )
 
 #: Scan rows are (hbar, rank, ComparisonRow).
 _SCAN_COLUMNS = (
-    ("hbar", "0", "g"),
-    ("rank", "1", "d"),
-    ("n1", "2.n.n1", "d"),
-    ("n2", "2.n.n2", "d"),
-    ("e_exact", "2.e_exact", "#.7g"),
-    ("e_sc", "2.e_sc", "#.7g"),
-    ("err_sc_over_D", "2.err_sc", "#.8g"),
+    ("hbar", itemgetter(0), "g"),
+    ("rank", itemgetter(1), "d"),
+    ("n1", lambda row: row[2].n.n1, "d"),
+    ("n2", lambda row: row[2].n.n2, "d"),
+    ("e_exact", lambda row: row[2].e_exact, "#.7g"),
+    ("e_sc", lambda row: row[2].e_sc, "#.7g"),
+    ("err_sc_over_D", lambda row: row[2].err_sc, "#.8g"),
 )
 
 _LEVEL_COLUMNS = (
-    ("rank", "rank", "d"),
-    ("n1", "assigned.n1", "d"),
-    ("n2", "assigned.n2", "d"),
-    ("energy", "energy", "#.9g"),
-    ("overlap_weight", "overlap_weight", "#.4g"),
-    ("ambiguous", "ambiguous", "d"),
+    ("rank", attrgetter("rank"), "d"),
+    ("n1", attrgetter("assigned.n1"), "d"),
+    ("n2", attrgetter("assigned.n2"), "d"),
+    ("energy", attrgetter("energy"), "#.9g"),
+    ("overlap_weight", attrgetter("overlap_weight"), "#.4g"),
+    ("ambiguous", attrgetter("ambiguous"), "d"),
 )
 
 
-def _getter(path: str):
-    """Reader of a dotted column path."""
-    head, _, rest = path.partition(".")
-    if not head.isdigit():
-        return attrgetter(path)
-    item = itemgetter(int(head))
-    if not rest:
-        return item
-    tail = attrgetter(rest)
-    return lambda row: tail(item(row))
-
-
-def _render_csv(columns: Sequence[tuple[str, str, str]], rows: Sequence[object]) -> str:
+def _render_csv(columns: Sequence[tuple[str, Callable, str]], rows: Sequence[object]) -> str:
     """Header line plus one line per row, each cell formatted by its column."""
     if not rows:
         raise ValueError("no rows to emit")
-    cells = [(_getter(path), spec) for _, path, spec in columns]
     lines = [",".join(header for header, _, _ in columns)]
-    lines.extend(",".join(format(get(row), spec) for get, spec in cells) for row in rows)
+    lines.extend(",".join(format(read(row), spec) for _, read, spec in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -197,7 +183,7 @@ def emit_json(table: ComparisonTable, destination: str) -> None:
             ],
         },
         "rows": [
-            {header: attrgetter(path)(row) for header, path, _ in _COMPARISON_COLUMNS}
+            {header: read(row) for header, read, _ in _COMPARISON_COLUMNS}
             for row in table.rows
         ],
     }

@@ -485,6 +485,36 @@ def test_each_call_joins_its_pool_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in workers)
 
 
+def test_vector_pass_runs_after_the_pool_is_joined(monkeypatch):
+    original, alive = diag.symmetric_eigenvalues, []
+
+    def spy_solve(*args, **kwargs):
+        threads = threading.enumerate()
+        alive.append([t.name for t in threads if t.name.startswith("quartosc-eigvals")])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    converged_levels(DEFAULT_PARAMS, k=20)
+    assert alive == [[]] * 4  # four blocks hold ranked levels; no pool thread is left
+
+
+@pytest.mark.parametrize(("k", "first"), [(1, 14), (225, 14), (226, 19), (500, 24), (6400, 79)])
+def test_schedule_starts_at_the_first_basis_holding_k_levels(monkeypatch, k, first):
+    class Solved(Exception):
+        pass
+
+    steps = []
+
+    def spy_spectra(params, n_max, pool):
+        steps.append(n_max)
+        raise Solved  # nothing is solved
+
+    monkeypatch.setattr(diag, "_block_spectra", spy_spectra)
+    with pytest.raises(Solved):
+        converged_levels(DEFAULT_PARAMS, k=k)
+    assert steps == [first]
+
+
 def _final_n_max_in_child(queue):
     queue.put(converged_levels(DEFAULT_PARAMS, k=20).final_n_max)
 
@@ -702,6 +732,12 @@ def test_converged_levels_budget(monkeypatch):
     monkeypatch.setattr(diag, "N_MAX_CAP", 20)
     with pytest.raises(BudgetExceeded):
         converged_levels(PARAMS, k=100, digits=8)
+
+
+def test_empty_schedule_holds_no_level(monkeypatch):
+    monkeypatch.setattr(diag, "N_MAX_CAP", diag.SCHEDULE_START - 1)
+    with pytest.raises(BudgetExceeded, match="holds more than 0$"):
+        converged_levels(PARAMS, k=1)
 
 
 def test_assignment_reference_labels(default_table):

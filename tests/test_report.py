@@ -4,6 +4,7 @@ import pytest
 
 from quartosc.model import ModelParams, QuantumNumbers
 from quartosc.report import (
+    _COMPARISON_COLUMNS,
     InsufficientLevels,
     emit_json,
     hbar_scan,
@@ -103,6 +104,21 @@ def test_json_emission(default_table, tmp_path):
     assert payload["spacing"]["count"] == 100
     assert len(payload["rows"]) == 20
     assert payload["rows"][0]["n1"] == 0
+
+
+def test_json_rows_format_to_the_csv_lines(default_table, tmp_path):
+    import json
+
+    path = tmp_path / "table.json"
+    emit_json(default_table, str(path))
+    header, *lines = render_comparison_csv(default_table.rows).splitlines()
+    rows = json.loads(path.read_text())["rows"]
+    assert len(rows) == len(lines) == 20
+    keys = header.split(",")
+    specs = [spec for _, _, spec in _COMPARISON_COLUMNS]
+    for row, line in zip(rows, lines):
+        assert sorted(row) == sorted(keys)
+        assert ",".join(format(row[key], spec) for key, spec in zip(keys, specs)) == line
 
 
 def test_scan_consistent_with_comparison(default_table, small_hbar_table):
