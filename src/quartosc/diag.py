@@ -20,17 +20,22 @@ by one stable sort of all blocks' eigenvalues.  Only the accepted step
 takes eigenvectors, by inverse iteration on each band, shifted by the
 eigenvalues already found and scaled by a power of two, so that any valid
 g and hbar stay inside the exponent range; no n x n array is built.  That
-pass runs after the pool's threads are joined, one block at a time, on the
-calling thread: solve the vectors of a block that holds a ranked level,
-label that block's levels (assign_quantum_numbers), drop the vectors, then
-go on to the next block.  The blocks share no basis state, so the labels
-are those of one claim loop over all blocks.
+pass goes one block at a time: solve the vectors of a block that holds a
+ranked level, label that block's levels (assign_quantum_numbers), drop the
+vectors, then go on to the next block.  The blocks share no basis state,
+so the labels are those of one claim loop over all blocks.  It runs before
+the pool is joined: the calling thread solves each vector in order while,
+in a block of dimension _PIPELINE_DIM or more, the pool's threads factor
+the next shifts (dgbtrf, also a ctypes call), each into its own reused LU
+buffer, so the vectors are bitwise those of the sequential pass.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -170,12 +175,25 @@ _DSBEVD = _cython_lapack(
     _BUFFER, _BUFFER, _INT, _BUFFER, _INT, _BUFFER, _INT, _INT,
 )
 
-#: Threads that solve a schedule step's four parity blocks at once, in a
-#: pool that lives for one converged_levels call.
+#: dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
+_DGBTRF = _cython_lapack("dgbtrf", _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _INT)
+#: dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
+_DGBTRS = _cython_lapack(
+    "dgbtrs",
+    ctypes.c_char_p, _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _INT, _INT,
+)
+
+#: Threads that solve a schedule step's four parity blocks at once, and
+#: factor ahead of the accepted step's vector solves, in a pool that lives
+#: for one converged_levels call.
 _WORKERS = min(
     4,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
+
+#: Blocks of at least this dimension factor their vector pass's shifts ahead
+#: on the pool; smaller ones solve it sequentially.
+_PIPELINE_DIM = 700
 
 
 def _band_values(band: np.ndarray) -> np.ndarray:
@@ -210,6 +228,8 @@ def symmetric_eigenvalues(
     want_vectors: bool = False,
     lowest: int = 0,
     values: np.ndarray | None = None,
+    *,
+    pool: ThreadPoolExecutor | None = None,
 ):
     """Ascending eigenvalues of a real symmetric matrix given as its lower band.
 
@@ -219,10 +239,12 @@ def symmetric_eigenvalues(
     them, ascending, from an earlier call on the same band.  A positive
     lowest keeps that many lowest.  For want_vectors the vectors come from
     inverse iteration on the band, shifted by those values
-    (_band_eigenvectors), and return orthonormal, one per column.  Both
-    are deterministic for a fixed input.  converged_levels solves its
-    blocks' values concurrently through _band_values; the vector pass
-    runs one block at a time on the calling thread.
+    (_band_eigenvectors), and return orthonormal, one per column.  Given a
+    pool, its threads factor the next shifts while the calling thread
+    solves the current vector; the vectors are bitwise the same either
+    way.  Both are deterministic for a fixed input.  converged_levels
+    solves its blocks' values concurrently through _band_values, then each
+    large block's vectors with its pool.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
@@ -233,12 +255,14 @@ def symmetric_eigenvalues(
         count = min(lowest, len(values)) if lowest > 0 else len(values)
         if not want_vectors:
             return values[:count]
-        return values[:count], _band_eigenvectors(band, values, count)
+        return values[:count], _band_eigenvectors(band, values, count, pool)
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+def _band_eigenvectors(
+    band: np.ndarray, values: np.ndarray, count: int, pool: ThreadPoolExecutor | None
+) -> np.ndarray:
     """Eigenvectors of the lower band for values[:count], one per column.
 
     values holds all the band's eigenvalues, ascending.  Band and values
@@ -246,14 +270,18 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     and band entries below eps max|E| / n are dropped from the
     factorization.  Inverse iteration as LAPACK's dstein does it: per
     eigenvalue, one LU factorization of H - lambda I in general band
-    storage (dgbtrf), pivots below eps max|E| raised to it, then band
-    solves (dgbtrs) from a seeded start vector, each followed by
+    storage (_factor: dgbtrf, pivots below eps max|E| raised to it), then
+    band solves (dgbtrs) from a seeded start vector, each followed by
     Gram-Schmidt against the earlier vectors of its cluster (gaps below
     1e-3 max|E|), until the residual |Hx - lambda x| is at the rounding
-    scale ROUNDING_FACTOR eps max|E|.  Each run of eigenvalues no more
-    than eps max|E| apart then gets a canonical basis of its eigenspace
-    (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
-    rounding scale within INVERSE_ITERATIONS solves.
+    scale ROUNDING_FACTOR eps max|E|.  With a pool, up to _WORKERS
+    factorizations run ahead on its threads, each into its own LU buffer,
+    reused round-robin; the solves still run in order on the calling
+    thread.  Each run of eigenvalues no more than eps max|E| apart then
+    gets a canonical basis of its eigenspace (_canonical_basis).  Raises
+    ConvergenceFailure if a vector misses the rounding scale within
+    INVERSE_ITERATIONS solves; the factorizations not yet started are
+    then cancelled.
     """
     b, n = band.shape[0] - 1, band.shape[1]
     # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
@@ -265,46 +293,108 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     floor = np.finfo(float).eps * scale
     # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
-    kept = np.where(np.abs(lower) < floor / n, 0.0, lower)
-    # Row 2b + i - j of the general band holds H[i, j]; rows 0..b-1 are LU fill-in.
-    general = np.zeros((3 * b + 1, n), order="F")
-    for d in range(b + 1):
-        general[2 * b + d, : n - d] = general[2 * b - d, d:] = kept[d, : n - d]
-    lu = np.empty_like(general)
+    dropped = np.abs(lower) < floor / n
+    kept = np.where(dropped, 0.0, lower) if dropped.any() else lower
+    ahead = min(_WORKERS, count - 1) if pool is not None else 0
+    slots = [_LUSlot(b, n) for _ in range(ahead + 1)]
+    pending = collections.deque(
+        pool.submit(_factor, slots[j], kept, shifts[j], floor) for j in range(ahead)
+    )
     rng = np.random.default_rng(0)
     vectors = np.empty((count, n))
     first = 0  # the current cluster's first eigenvalue
-    for j, shift in enumerate(shifts[:count]):
-        if j and shift - shifts[j - 1] > 1e-3 * scale:
-            first = j
-        lu[...] = general
-        lu[2 * b] -= shift
-        lu, pivot, _ = scipy.linalg.lapack.dgbtrf(lu, b, b, overwrite_ab=True)
-        u = lu[2 * b]
-        tiny = np.abs(u) < floor
-        u[tiny] = np.copysign(floor, u[tiny])
-        x = rng.uniform(-1.0, 1.0, n)
-        for solve in range(INVERSE_ITERATIONS):
-            x = scipy.linalg.lapack.dgbtrs(lu, b, b, x, pivot)[0]
-            cluster = vectors[first:j]
-            x -= (cluster @ x) @ cluster
-            x /= np.linalg.norm(x)
-            if not solve:
-                continue  # the first solve leaves the factorization's rounding, over the gap, in x
-            hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
-            if np.linalg.norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
-                break
-        else:
-            raise ConvergenceFailure(
-                f"inverse iteration for eigenvalue {float(values[j])} missed the rounding scale "
-                f"after {INVERSE_ITERATIONS} solves"
-            )
-        vectors[j] = x
+    try:
+        for j, shift in enumerate(shifts[:count]):
+            if j and shift - shifts[j - 1] > 1e-3 * scale:
+                first = j
+            later = j + ahead  # into the slot that vector j - 1 freed
+            if ahead and later < count:
+                free = slots[later % len(slots)]
+                pending.append(pool.submit(_factor, free, kept, shifts[later], floor))
+            slot = pending.popleft().result() if ahead else _factor(slots[0], kept, shift, floor)
+            x = slot.x
+            x[:] = rng.uniform(-1.0, 1.0, n)
+            for solve in range(INVERSE_ITERATIONS):
+                _DGBTRS(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
+                cluster = vectors[first:j]
+                x -= (cluster @ x) @ cluster
+                x /= _norm(x)
+                if not solve:
+                    continue  # the first solve leaves the factorization's rounding, over the gap
+                hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
+                if _norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
+                    break
+            else:
+                raise ConvergenceFailure(
+                    f"inverse iteration for eigenvalue {float(values[j])} missed the rounding "
+                    f"scale after {INVERSE_ITERATIONS} solves"
+                )
+            vectors[j] = x
+    finally:
+        for future in pending:
+            future.cancel()
     edges = np.flatnonzero(np.diff(shifts[:count]) > floor) + 1
     for lo, hi in zip([0, *edges], [*edges, count]):
         if hi - lo > 1:
             vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
     return vectors.T
+
+
+class _LUSlot:
+    """One vector's workspace: lu, the (3b + 1, n) general band, n pivots and x.
+
+    Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
+    0..b-1, which it does not read.  upper views lu so that upper[d, c] is
+    lu[2b - d, c + d], the place of H[c, c + d]: the lower band written
+    through it fills the upper triangle.  Its entries past column n - 1 land
+    in b spare columns after lu's.  The LAPACK arguments, addresses
+    included, are made once.
+    """
+
+    def __init__(self, b: int, n: int) -> None:
+        rows = 3 * b + 1
+        buffer = np.empty(rows * (n + b))
+        step = buffer.itemsize
+        self.lu = buffer[: rows * n].reshape((rows, n), order="F")
+        self.upper = np.ndarray(
+            (b + 1, n), buffer=buffer, offset=2 * b * step, strides=(3 * b * step, rows * step)
+        )
+        self.pivot = np.empty(n, dtype=np.intc)
+        self.x = np.empty(n)
+        self.info = ctypes.c_int()
+        n_, b_, ldab = ctypes.c_int(n), ctypes.c_int(b), ctypes.c_int(rows)
+        lu, pivot, info = self.lu.ctypes.data, self.pivot.ctypes.data, ctypes.byref(self.info)
+        self.factor_args = (n_, n_, b_, b_, lu, ldab, pivot, info)
+        x = self.x.ctypes.data
+        self.solve_args = (b"N", n_, b_, b_, ctypes.c_int(1), lu, ldab, pivot, x, n_, info)
+
+
+def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> _LUSlot:
+    """Factor H - shift I, H given as its (b + 1, n) lower band, into slot by dgbtrf.
+
+    Pivots below floor are raised to it, sign kept, so an exactly singular
+    H - lambda I (dgbtrf's info > 0) still solves.  Returns slot.  The
+    LAPACK call releases the GIL.  Pool threads call only this private
+    function: a public one may be wrapped by a tracer that keeps one span
+    stack.
+    """
+    lu = slot.lu
+    b = band.shape[0] - 1
+    lu[2 * b :] = band  # H[c + d, c]
+    slot.upper[...] = band  # H[c, c + d]
+    lu[2 * b] -= shift
+    _DGBTRF(*slot.factor_args)
+    if slot.info.value < 0:
+        raise ValueError(f"dgbtrf: argument {-slot.info.value} had an illegal value")
+    u = lu[2 * b]
+    tiny = np.abs(u) < floor
+    u[tiny] = np.copysign(floor, u[tiny])
+    return slot
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real vector, bitwise: the root of v.dot(v), without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _canonical_basis(rows: np.ndarray) -> np.ndarray:
@@ -415,9 +505,11 @@ def converged_levels(
     steps level by level against the mixed threshold 0.5 * 10^-digits *
     max(1, |E|).  Each step ranks its k lowest levels once, by a stable
     sort of all blocks' eigenvalues, so equal energies keep block order.
-    After the pool is joined, the accepted step goes one block at a time:
-    each block holding a ranked level solves eigenvectors on its retained
-    band and is labelled.  Raises BudgetExceeded when no scheduled basis
+    The accepted step then goes one block at a time: each block holding a
+    ranked level solves eigenvectors on its retained band, with the pool
+    factoring ahead if the block has dimension _PIPELINE_DIM or more, and
+    is labelled.  The pool is joined before the call returns or raises.
+    Raises BudgetExceeded when no scheduled basis
     holds k levels or the schedule ends unconverged, and UnresolvableDigits
     at the first step where the smallest threshold is no larger than
     ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale.
@@ -438,7 +530,7 @@ def converged_levels(
     previous = None
     history: list[tuple[int, float]] = []
     # One pool serves every step of this call; leaving the block joins its threads.
-    with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-eigvals") as pool:
+    with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-lapack") as pool:
         for n_max in (n for n in schedule if (n + 1) ** 2 >= k):  # bases holding k levels
             spectra = _block_spectra(params, n_max, pool)
             merged = np.concatenate([w for w, _, _ in spectra])
@@ -464,18 +556,22 @@ def converged_levels(
                 f"first {k} levels not converged to {digits} digits by n_max={N_MAX_CAP}"
             )
 
-    # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
-    # Vectors up to the k-th value keep a degenerate run cut at k whole for _canonical_basis,
-    # and are dropped before the next block's solve.
-    block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
-    levels: list[SpectrumLevel] = []
-    for i, (w, h, block) in enumerate(spectra):
-        ranks = np.flatnonzero(block_of == i) + 1
-        if len(ranks):
-            share = int(np.searchsorted(w, values[-1], side="right"))
-            levels += assign_quantum_numbers(
-                *symmetric_eigenvalues(h, True, lowest=share, values=w), block, ranks
-            )
+        # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
+        # Vectors up to the k-th value keep a degenerate run cut at k whole for _canonical_basis,
+        # and are dropped before the next block's solve.
+        block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
+        levels: list[SpectrumLevel] = []
+        for i, (w, h, block) in enumerate(spectra):
+            ranks = np.flatnonzero(block_of == i) + 1
+            if len(ranks):
+                share = int(np.searchsorted(w, values[-1], side="right"))
+                # Below _PIPELINE_DIM the hand-off to the pool costs more than it saves.
+                pipelined = {"pool": pool} if len(w) >= _PIPELINE_DIM else {}
+                levels += assign_quantum_numbers(
+                    *symmetric_eigenvalues(h, True, lowest=share, values=w, **pipelined),
+                    block,
+                    ranks,
+                )
     levels.sort(key=lambda lvl: lvl.rank)
     return ConvergenceReport(final_n_max=n_max, levels=tuple(levels), history=tuple(history))
 

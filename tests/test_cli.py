@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -74,6 +75,17 @@ def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monke
     assert code == 3
     assert out == ""
     assert err.startswith("error: dsbevd did not converge") and err.count("\n") == 1
+
+
+def test_vector_failure_on_the_pool_exits_3_and_joins_its_threads(capsys, monkeypatch):
+    monkeypatch.setattr(cli.diag, "_PIPELINE_DIM", 0)  # every block factors on the pool
+    monkeypatch.setattr(cli.diag, "INVERSE_ITERATIONS", 1)  # no vector reaches the residual test
+    before = threading.active_count()
+    code, out, err = run(capsys, "levels", "--k", "20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: inverse iteration for eigenvalue") and err.count("\n") == 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import itertools
 import math
 import multiprocessing
+import os
+import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -448,6 +451,141 @@ def test_converged_levels_independent_of_the_worker_count(monkeypatch):
     assert concurrent == sequential
 
 
+@pytest.mark.parametrize(
+    ("params", "k", "digits"),
+    [
+        (DEFAULT_PARAMS, 20, 8),
+        (DEFAULT_PARAMS, 100, 8),
+        (DEFAULT_PARAMS, 500, 10),
+        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0), 20, 8),  # exact zero pivots
+    ],
+    ids=["k20", "k100", "k500", "g0"],
+)
+def test_pipelined_vector_pass_is_bitwise_the_sequential(monkeypatch, params, k, digits):
+    monkeypatch.setattr(diag, "_PIPELINE_DIM", sys.maxsize)
+    sequential = converged_levels(params, k=k, digits=digits)
+    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
+    assert converged_levels(params, k=k, digits=digits) == sequential
+    monkeypatch.setattr(diag, "_WORKERS", 1)
+    assert converged_levels(params, k=k, digits=digits) == sequential
+
+
+def test_pipelined_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
+    # More factoring threads than cores, switching every 10 us: each LU buffer
+    # must still be handed between threads whole.
+    sequential = converged_levels(DEFAULT_PARAMS, k=100)
+    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
+    monkeypatch.setattr(diag, "_WORKERS", (os.cpu_count() or 1) + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert converged_levels(DEFAULT_PARAMS, k=100) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _f2py_factor(band, shift, floor):
+    """dgbtrf through scipy.linalg.lapack's f2py wrapper: the oracle for diag._factor."""
+    b, n = band.shape[0] - 1, band.shape[1]
+    lu = np.zeros((3 * b + 1, n), order="F")  # row 2b + i - j holds H[i, j]
+    for d in range(b + 1):
+        lu[2 * b + d, : n - d] = lu[2 * b - d, d:] = band[d, : n - d]
+    lu[2 * b] -= shift
+    lu, pivot, _ = scipy.linalg.lapack.dgbtrf(lu, b, b, overwrite_ab=True)
+    u = lu[2 * b]
+    tiny = np.abs(u) < floor
+    u[tiny] = np.copysign(floor, u[tiny])
+    return lu, pivot
+
+
+def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
+    for block in split_parity_blocks(build_basis(69)):
+        band = assemble_hamiltonian(block, DEFAULT_PARAMS)
+        b, n = band.shape[0] - 1, band.shape[1]
+        values = diag._band_values(band)
+        floor = np.finfo(float).eps * abs(values[-1])
+        slot = diag._LUSlot(b, n)
+        slot.lu.fill(np.nan)  # a reused buffer's stale entries must not matter
+        # Row 2b + i - j holds U[i, j]: rows above 2b - j lie before the matrix's first row.
+        used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
+        rhs = np.random.default_rng(1).uniform(-1.0, 1.0, n)
+        for shift in (values[0], values[7], 0.5 * (values[40] + values[41])):
+            lu, pivot = _f2py_factor(band, shift, floor)
+            assert diag._factor(slot, band, shift, floor) is slot
+            assert np.array_equal(slot.pivot - 1, pivot)  # f2py returns them 0-based
+            assert np.array_equal(slot.lu[used], lu[used])
+            x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
+            slot.x[:] = rhs
+            diag._DGBTRS(*slot.solve_args)
+            assert np.array_equal(slot.x, x)
+
+
+def test_factorization_argument_error_raises_value_error(monkeypatch):
+    def illegal(*args):
+        args[-1]._obj.value = -6  # dgbtrf's info: its sixth argument, ldab, is illegal
+
+    monkeypatch.setattr(diag, "_DGBTRF", illegal)
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
+            symmetric_eigenvalues(band, True, lowest=10, pool=pool)
+
+
+def test_pipelined_failure_cancels_the_factorizations_not_yet_started(monkeypatch):
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
+    shifted = symmetric_eigenvalues(band) + 0.25  # no vector converges
+    release, original, calls, futures = threading.Event(), diag._factor, itertools.count(), []
+
+    def held_after_the_first(*args):
+        if next(calls):  # the pool's one thread runs them in order
+            release.wait(timeout=60)
+        return original(*args)
+
+    class RecordedPool(ThreadPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(diag, "_WORKERS", 2)
+    monkeypatch.setattr(diag, "_factor", held_after_the_first)
+    with RecordedPool(1) as pool:
+        try:
+            with pytest.raises(ConvergenceFailure, match="inverse iteration for eigenvalue"):
+                symmetric_eigenvalues(band, True, lowest=40, values=shifted, pool=pool)
+            # Vector 0 failed while the one worker held the factorization of shift 1;
+            # that of shift 2 had not started, and is cancelled.
+            assert len(futures) == 3 and futures[0].done() and futures[2].cancelled()
+        finally:
+            release.set()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_pipelined_block_holds_one_lu_buffer_per_factorization_in_flight(monkeypatch, workers):
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
+    values = symmetric_eigenvalues(band)
+    b, n = band.shape[0] - 1, band.shape[1]
+    count = 40
+    if workers is not None:
+        monkeypatch.setattr(diag, "_WORKERS", workers)
+    with ThreadPoolExecutor(workers or 1) as pool:
+        symmetric_eigenvalues(band, True, lowest=count, values=values, pool=pool)  # warm the pool
+        tracemalloc.start()
+        try:
+            symmetric_eigenvalues(
+                band, True, lowest=count, values=values, pool=pool if workers else None
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # One LU buffer (with b spare columns) and its pivots per factorization
+    # in flight, plus the one the calling thread solves with.
+    buffers = 1 + (workers or 0)
+    lu = (3 * b + 1) * (n + b) * 8 + n * 4
+    # Beside the returned vectors and the buffers: the scaled band, the mask
+    # of dropped entries and the work arrays, within four band-sized arrays.
+    assert peak <= count * n * 8 + buffers * lu + 4 * band.nbytes
+
+
 def test_worker_failure_raises_convergence_failure(monkeypatch):
     original = diag.assemble_hamiltonian
     count = itertools.count()
@@ -485,17 +623,35 @@ def test_each_call_joins_its_pool_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in workers)
 
 
-def test_vector_pass_runs_after_the_pool_is_joined(monkeypatch):
-    original, alive = diag.symmetric_eigenvalues, []
+def test_vector_factorizations_run_on_the_calls_own_pool_threads(monkeypatch):
+    # Each factorization of the pipelined vector pass runs on a thread of the
+    # pool that its converged_levels call opened, and none outlives the call.
+    pools, factored_on = [], []
 
-    def spy_solve(*args, **kwargs):
-        threads = threading.enumerate()
-        alive.append([t.name for t in threads if t.name.startswith("quartosc-eigvals")])
-        return original(*args, **kwargs)
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
 
-    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
-    converged_levels(DEFAULT_PARAMS, k=20)
-    assert alive == [[]] * 4  # four blocks hold ranked levels; no pool thread is left
+    original = diag._factor
+
+    def spy_factor(*args):
+        factored_on.append((len(pools), threading.current_thread()))
+        return original(*args)
+
+    monkeypatch.setattr(diag, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
+    monkeypatch.setattr(diag, "_factor", spy_factor)
+    before = threading.active_count()
+    for _ in range(2):
+        assert len(converged_levels(DEFAULT_PARAMS, k=20).levels) == 20
+        assert threading.active_count() == before
+    assert len(pools) == 2
+    # Every block's share is at least 2 levels, so each factorization runs on the pool.
+    assert factored_on and threading.main_thread() not in {t for _, t in factored_on}
+    for call, thread in factored_on:
+        assert thread in pools[call - 1]._threads
+    assert not any(t.is_alive() for pool in pools for t in pool._threads)
 
 
 @pytest.mark.parametrize(("k", "first"), [(1, 14), (225, 14), (226, 19), (500, 24), (6400, 79)])
