@@ -20,19 +20,17 @@ by one stable sort of all blocks' eigenvalues.  Only the accepted step
 takes eigenvectors, by inverse iteration on each band, shifted by the
 eigenvalues already found and scaled by a power of two, so that any valid
 g and hbar stay inside the exponent range; no n x n array is built.  That
-pass goes one block at a time: solve the vectors of a block that holds a
-ranked level, label that block's levels (assign_quantum_numbers), drop the
-vectors, then go on to the next block.  The blocks share no basis state,
-so the labels are those of one claim loop over all blocks.  It runs before
-the pool is joined: the calling thread solves each vector in order while,
-in a block of dimension _PIPELINE_DIM or more, the pool's threads factor
-the next shifts (dgbtrf, also a ctypes call), each into its own reused LU
-buffer, so the vectors are bitwise those of the sequential pass.
+pass is one more map on the same pool, one job per block that holds a
+ranked level: the job solves the block's vectors in order, then runs the
+block's claim loop on them and returns the claims, so no vector array
+outlives its job.  The blocks share no basis state, so the labels are
+those of one claim loop over all blocks; the calling thread turns the
+claims into levels.  The jobs' factorizations and solves (dgbtrf, dgbtrs)
+are ctypes calls too, which release the GIL.
 """
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import itertools
 import math
@@ -183,17 +181,13 @@ _DGBTRS = _cython_lapack(
     ctypes.c_char_p, _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _INT, _INT,
 )
 
-#: Threads that solve a schedule step's four parity blocks at once, and
-#: factor ahead of the accepted step's vector solves, in a pool that lives
-#: for one converged_levels call.
+#: Threads that solve a schedule step's four parity blocks at once, and the
+#: accepted step's blocks' vectors, in a pool that lives for one
+#: converged_levels call.
 _WORKERS = min(
     4,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
-
-#: Blocks of at least this dimension factor their vector pass's shifts ahead
-#: on the pool; smaller ones solve it sequentially.
-_PIPELINE_DIM = 700
 
 
 def _band_values(band: np.ndarray) -> np.ndarray:
@@ -228,8 +222,6 @@ def symmetric_eigenvalues(
     want_vectors: bool = False,
     lowest: int = 0,
     values: np.ndarray | None = None,
-    *,
-    pool: ThreadPoolExecutor | None = None,
 ):
     """Ascending eigenvalues of a real symmetric matrix given as its lower band.
 
@@ -239,49 +231,39 @@ def symmetric_eigenvalues(
     them, ascending, from an earlier call on the same band.  A positive
     lowest keeps that many lowest.  For want_vectors the vectors come from
     inverse iteration on the band, shifted by those values
-    (_band_eigenvectors), and return orthonormal, one per column.  Given a
-    pool, its threads factor the next shifts while the calling thread
-    solves the current vector; the vectors are bitwise the same either
-    way.  Both are deterministic for a fixed input.  converged_levels
-    solves its blocks' values concurrently through _band_values, then each
-    large block's vectors with its pool.
+    (_band_eigenvectors), and return orthonormal, one per column.  Both
+    are deterministic for a fixed input.  converged_levels calls the
+    kernels on its pool instead: _band_values for each step's blocks, then
+    _band_eigenvectors in each accepted block's job.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
         raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
-    try:
-        if values is None:
-            values = _band_values(band)
-        count = min(lowest, len(values)) if lowest > 0 else len(values)
-        if not want_vectors:
-            return values[:count]
-        return values[:count], _band_eigenvectors(band, values, count, pool)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    if values is None:
+        values = _band_values(band)
+    count = min(lowest, len(values)) if lowest > 0 else len(values)
+    if not want_vectors:
+        return values[:count]
+    return values[:count], _band_eigenvectors(band, values, count)
 
 
-def _band_eigenvectors(
-    band: np.ndarray, values: np.ndarray, count: int, pool: ThreadPoolExecutor | None
-) -> np.ndarray:
+def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Eigenvectors of the lower band for values[:count], one per column.
 
     values holds all the band's eigenvalues, ascending.  Band and values
     are first scaled by the power of two that puts max|E| in [0.5, 1),
     and band entries below eps max|E| / n are dropped from the
     factorization.  Inverse iteration as LAPACK's dstein does it: per
-    eigenvalue, one LU factorization of H - lambda I in general band
-    storage (_factor: dgbtrf, pivots below eps max|E| raised to it), then
-    band solves (dgbtrs) from a seeded start vector, each followed by
+    eigenvalue, in order, one LU factorization of H - lambda I in general
+    band storage (_factor: dgbtrf, pivots below eps max|E| raised to it),
+    then band solves (dgbtrs) from a seeded start vector, each followed by
     Gram-Schmidt against the earlier vectors of its cluster (gaps below
     1e-3 max|E|), until the residual |Hx - lambda x| is at the rounding
-    scale ROUNDING_FACTOR eps max|E|.  With a pool, up to _WORKERS
-    factorizations run ahead on its threads, each into its own LU buffer,
-    reused round-robin; the solves still run in order on the calling
-    thread.  Each run of eigenvalues no more than eps max|E| apart then
-    gets a canonical basis of its eigenspace (_canonical_basis).  Raises
-    ConvergenceFailure if a vector misses the rounding scale within
-    INVERSE_ITERATIONS solves; the factorizations not yet started are
-    then cancelled.
+    scale ROUNDING_FACTOR eps max|E|.  Each run of eigenvalues no more
+    than eps max|E| apart then gets a canonical basis of its eigenspace
+    (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
+    rounding scale within INVERSE_ITERATIONS solves, or if a run's basis
+    cannot be formed (LinAlgError).
     """
     b, n = band.shape[0] - 1, band.shape[1]
     # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
@@ -295,60 +277,51 @@ def _band_eigenvectors(
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     dropped = np.abs(lower) < floor / n
     kept = np.where(dropped, 0.0, lower) if dropped.any() else lower
-    ahead = min(_WORKERS, count - 1) if pool is not None else 0
-    slots = [_LUSlot(b, n) for _ in range(ahead + 1)]
-    pending = collections.deque(
-        pool.submit(_factor, slots[j], kept, shifts[j], floor) for j in range(ahead)
-    )
+    slot = _LUSlot(b, n)
+    x = slot.x
     rng = np.random.default_rng(0)
     vectors = np.empty((count, n))
     first = 0  # the current cluster's first eigenvalue
-    try:
-        for j, shift in enumerate(shifts[:count]):
-            if j and shift - shifts[j - 1] > 1e-3 * scale:
-                first = j
-            later = j + ahead  # into the slot that vector j - 1 freed
-            if ahead and later < count:
-                free = slots[later % len(slots)]
-                pending.append(pool.submit(_factor, free, kept, shifts[later], floor))
-            slot = pending.popleft().result() if ahead else _factor(slots[0], kept, shift, floor)
-            x = slot.x
-            x[:] = rng.uniform(-1.0, 1.0, n)
-            for solve in range(INVERSE_ITERATIONS):
-                _DGBTRS(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
-                cluster = vectors[first:j]
-                x -= (cluster @ x) @ cluster
-                x /= _norm(x)
-                if not solve:
-                    continue  # the first solve leaves the factorization's rounding, over the gap
-                hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
-                if _norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
-                    break
-            else:
-                raise ConvergenceFailure(
-                    f"inverse iteration for eigenvalue {float(values[j])} missed the rounding "
-                    f"scale after {INVERSE_ITERATIONS} solves"
-                )
-            vectors[j] = x
-    finally:
-        for future in pending:
-            future.cancel()
+    for j, shift in enumerate(shifts[:count]):
+        if j and shift - shifts[j - 1] > 1e-3 * scale:
+            first = j
+        _factor(slot, kept, shift, floor)
+        x[:] = rng.uniform(-1.0, 1.0, n)
+        for solve in range(INVERSE_ITERATIONS):
+            _DGBTRS(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
+            cluster = vectors[first:j]
+            x -= (cluster @ x) @ cluster
+            x /= _norm(x)
+            if not solve:
+                continue  # the first solve leaves the factorization's rounding, over the gap
+            hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
+            if _norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
+                break
+        else:
+            raise ConvergenceFailure(
+                f"inverse iteration for eigenvalue {float(values[j])} missed the rounding "
+                f"scale after {INVERSE_ITERATIONS} solves"
+            )
+        vectors[j] = x
     edges = np.flatnonzero(np.diff(shifts[:count]) > floor) + 1
-    for lo, hi in zip([0, *edges], [*edges, count]):
-        if hi - lo > 1:
-            vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
+    try:
+        for lo, hi in zip([0, *edges], [*edges, count]):
+            if hi - lo > 1:
+                vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     return vectors.T
 
 
 class _LUSlot:
-    """One vector's workspace: lu, the (3b + 1, n) general band, n pivots and x.
+    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots and x.
 
     Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
     0..b-1, which it does not read.  upper views lu so that upper[d, c] is
     lu[2b - d, c + d], the place of H[c, c + d]: the lower band written
     through it fills the upper triangle.  Its entries past column n - 1 land
     in b spare columns after lu's.  The LAPACK arguments, addresses
-    included, are made once.
+    included, are made once, and serve every vector of the pass.
     """
 
     def __init__(self, b: int, n: int) -> None:
@@ -369,14 +342,12 @@ class _LUSlot:
         self.solve_args = (b"N", n_, b_, b_, ctypes.c_int(1), lu, ldab, pivot, x, n_, info)
 
 
-def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> _LUSlot:
+def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None:
     """Factor H - shift I, H given as its (b + 1, n) lower band, into slot by dgbtrf.
 
     Pivots below floor are raised to it, sign kept, so an exactly singular
-    H - lambda I (dgbtrf's info > 0) still solves.  Returns slot.  The
-    LAPACK call releases the GIL.  Pool threads call only this private
-    function: a public one may be wrapped by a tracer that keeps one span
-    stack.
+    H - lambda I (dgbtrf's info > 0) still solves.  The LAPACK call
+    releases the GIL.
     """
     lu = slot.lu
     b = band.shape[0] - 1
@@ -389,7 +360,6 @@ def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> _LUS
     u = lu[2 * b]
     tiny = np.abs(u) < floor
     u[tiny] = np.copysign(floor, u[tiny])
-    return slot
 
 
 def _norm(v: np.ndarray) -> float:
@@ -466,31 +436,61 @@ def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[Sp
     blocks together are those of one such loop over all ranked levels.  A
     level is flagged ambiguous when the weight of the state it ends up
     with is below AMBIGUOUS_WEIGHT.  The input arrays are not modified.
+    The loop is _claim; converged_levels runs it in each block's job.
     """
-    count = len(ranks)
+    levels = _levels(_claim(vectors, len(ranks)), values, block, ranks)
+    return tuple(sorted(levels, key=lambda lvl: lvl.rank))
+
+
+def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
+    """assign_quantum_numbers' claim loop over the first count vectors (columns).
+
+    Returns (j, i, weight) per level j, in claim order: the level claimed
+    basis state i, whose squared component in vectors[:, j] is weight.
+    """
     weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
-    states = block.states
     order = sorted(range(count), key=lambda j: float(weights[j].max()), reverse=True)
-    claimed: set[tuple[int, int]] = set()
-    levels = []
+    claimed: set[int] = set()
+    claims = []
     for j in order:
-        for idx in np.argsort(weights[j])[::-1]:
-            state = states[int(idx)]
-            if state not in claimed:
-                claimed.add(state)
-                weight = float(weights[j, int(idx)])
-                levels.append(
-                    SpectrumLevel(
-                        rank=int(ranks[j]),
-                        energy=float(values[j]),
-                        assigned=QuantumNumbers(*state),
-                        overlap_weight=weight,
-                        ambiguous=weight < AMBIGUOUS_WEIGHT,
-                    )
-                )
+        for i in np.argsort(weights[j])[::-1]:
+            i = int(i)
+            if i not in claimed:
+                claimed.add(i)
+                claims.append((j, i, float(weights[j, i])))
                 break
-    levels.sort(key=lambda lvl: lvl.rank)
-    return tuple(levels)
+    return claims
+
+
+def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
+    """The levels that a block's claims (_claim) label, as assign_quantum_numbers builds them."""
+    states = block.states
+    return [
+        SpectrumLevel(
+            rank=int(ranks[j]),
+            energy=float(values[j]),
+            assigned=QuantumNumbers(*states[i]),
+            overlap_weight=weight,
+            ambiguous=weight < AMBIGUOUS_WEIGHT,
+        )
+        for j, i, weight in claims
+    ]
+
+
+def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
+    """One accepted block's job: the claims (_claim) of its ranked levels.
+
+    job is (values, band, block, ranks), values all the band's eigenvalues,
+    ascending; kth is the k-th lowest over all blocks.  Vectors are solved
+    for every value up to kth, which keeps a degenerate run cut at the k-th
+    level whole for _canonical_basis, and are dropped when the job returns.
+    It runs on a pool thread, so it calls only private functions and builds
+    no QuantumNumbers: a tracer may wrap the public ones with one span stack
+    and count constructions without a lock.
+    """
+    values, band, _, ranks = job
+    share = int(np.searchsorted(values, kth, side="right"))
+    return _claim(_band_eigenvectors(band, values, share), len(ranks))
 
 
 def converged_levels(
@@ -505,11 +505,11 @@ def converged_levels(
     steps level by level against the mixed threshold 0.5 * 10^-digits *
     max(1, |E|).  Each step ranks its k lowest levels once, by a stable
     sort of all blocks' eigenvalues, so equal energies keep block order.
-    The accepted step then goes one block at a time: each block holding a
-    ranked level solves eigenvectors on its retained band, with the pool
-    factoring ahead if the block has dimension _PIPELINE_DIM or more, and
-    is labelled.  The pool is joined before the call returns or raises.
-    Raises BudgetExceeded when no scheduled basis
+    The accepted step then maps _label_block over the blocks that hold a
+    ranked level, on the same pool: each job solves its block's vectors on
+    the retained band and returns the block's claims, and the calling
+    thread builds the levels from them.  The pool is joined before the
+    call returns or raises.  Raises BudgetExceeded when no scheduled basis
     holds k levels or the schedule ends unconverged, and UnresolvableDigits
     at the first step where the smallest threshold is no larger than
     ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale.
@@ -557,21 +557,16 @@ def converged_levels(
             )
 
         # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
-        # Vectors up to the k-th value keep a degenerate run cut at k whole for _canonical_basis,
-        # and are dropped before the next block's solve.
         block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
-        levels: list[SpectrumLevel] = []
-        for i, (w, h, block) in enumerate(spectra):
-            ranks = np.flatnonzero(block_of == i) + 1
-            if len(ranks):
-                share = int(np.searchsorted(w, values[-1], side="right"))
-                # Below _PIPELINE_DIM the hand-off to the pool costs more than it saves.
-                pipelined = {"pool": pool} if len(w) >= _PIPELINE_DIM else {}
-                levels += assign_quantum_numbers(
-                    *symmetric_eigenvalues(h, True, lowest=share, values=w, **pipelined),
-                    block,
-                    ranks,
-                )
+        per_block = [np.flatnonzero(block_of == i) + 1 for i in range(len(spectra))]
+        # (values, band, block, ranks) of each block that holds a ranked level
+        ranked = [(*spectrum, ranks) for spectrum, ranks in zip(spectra, per_block) if len(ranks)]
+        claims = list(pool.map(_label_block, ranked, itertools.repeat(values[-1])))
+    levels = [
+        level
+        for (w, _, block, ranks), block_claims in zip(ranked, claims)
+        for level in _levels(block_claims, w, block, ranks)
+    ]
     levels.sort(key=lambda lvl: lvl.rank)
     return ConvergenceReport(final_n_max=n_max, levels=tuple(levels), history=tuple(history))
 

@@ -302,6 +302,18 @@ def test_criterion_9_property_suite(default_table):
           "limit, orthonormality, exchange symmetry)")
 
 
+def test_exact_minus_second_order_is_third_order_in_g():
+    # The diagonalization against the closed second-order form, with no shared
+    # kernel: E_exact - E_qp = O(g^3), so halving g divides it by about 8.
+    residuals = []
+    for g in (0.02, 0.01, 0.005):
+        params = ModelParams(omega1=1.0, omega2=SQRT2, g=g, hbar=1.0)
+        levels = converged_levels(params, k=10, digits=11).levels
+        residuals.append([lvl.energy - qp_series(lvl.assigned, params).total(g) for lvl in levels])
+    coarse, fine = np.array(residuals[:-1]), np.array(residuals[1:])
+    assert np.all((7.0 < coarse / fine) & (coarse / fine < 9.0))
+
+
 # --- strict as-printed comparisons for the documented defective cells ---
 # These are expected to fail: the cells disagree with the reference
 # tabulation's own cross-checks.  Kept as strict xfails so the

@@ -52,14 +52,19 @@ def test_budget_exceeded_exits_3(capsys, monkeypatch):
 
 
 def test_eigensolver_failure_exits_3_without_traceback(capsys, monkeypatch):
-    def failing(*args, **kwargs):
-        raise cli.diag.ConvergenceFailure("eigensolver did not converge")
+    # A LinAlgError in a block's vector job on the pool is a ConvergenceFailure.  At
+    # g = 0 and omega2 = 0.5, degenerate levels such as (2, 0) and (0, 4) share a block
+    # among the lowest 20, so the job forms a canonical basis for them.
+    def failing(rows):
+        raise np.linalg.LinAlgError("eigensolver did not converge")
 
-    monkeypatch.setattr(cli.diag, "symmetric_eigenvalues", failing)
-    code, out, err = run(capsys, "levels", "--k", "5")
+    monkeypatch.setattr(cli.diag, "_canonical_basis", failing)
+    before = threading.active_count()
+    code, out, err = run(capsys, "levels", "--g", "0", "--omega2", "0.5", "--k", "20")
     assert code == 3
     assert out == ""
     assert err == "error: eigensolver did not converge\n"
+    assert threading.active_count() == before
 
 
 def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monkeypatch):
@@ -78,7 +83,6 @@ def test_eigensolver_failure_in_a_worker_exits_3_without_traceback(capsys, monke
 
 
 def test_vector_failure_on_the_pool_exits_3_and_joins_its_threads(capsys, monkeypatch):
-    monkeypatch.setattr(cli.diag, "_PIPELINE_DIM", 0)  # every block factors on the pool
     monkeypatch.setattr(cli.diag, "INVERSE_ITERATIONS", 1)  # no vector reaches the residual test
     before = threading.active_count()
     code, out, err = run(capsys, "levels", "--k", "20")

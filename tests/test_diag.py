@@ -451,30 +451,11 @@ def test_converged_levels_independent_of_the_worker_count(monkeypatch):
     assert concurrent == sequential
 
 
-@pytest.mark.parametrize(
-    ("params", "k", "digits"),
-    [
-        (DEFAULT_PARAMS, 20, 8),
-        (DEFAULT_PARAMS, 100, 8),
-        (DEFAULT_PARAMS, 500, 10),
-        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0), 20, 8),  # exact zero pivots
-    ],
-    ids=["k20", "k100", "k500", "g0"],
-)
-def test_pipelined_vector_pass_is_bitwise_the_sequential(monkeypatch, params, k, digits):
-    monkeypatch.setattr(diag, "_PIPELINE_DIM", sys.maxsize)
-    sequential = converged_levels(params, k=k, digits=digits)
-    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
-    assert converged_levels(params, k=k, digits=digits) == sequential
+def test_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
+    # More block jobs at once than cores, switching every 10 us: each job's
+    # workspace must stay its own.
     monkeypatch.setattr(diag, "_WORKERS", 1)
-    assert converged_levels(params, k=k, digits=digits) == sequential
-
-
-def test_pipelined_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
-    # More factoring threads than cores, switching every 10 us: each LU buffer
-    # must still be handed between threads whole.
     sequential = converged_levels(DEFAULT_PARAMS, k=100)
-    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
     monkeypatch.setattr(diag, "_WORKERS", (os.cpu_count() or 1) + 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -511,7 +492,7 @@ def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
         rhs = np.random.default_rng(1).uniform(-1.0, 1.0, n)
         for shift in (values[0], values[7], 0.5 * (values[40] + values[41])):
             lu, pivot = _f2py_factor(band, shift, floor)
-            assert diag._factor(slot, band, shift, floor) is slot
+            diag._factor(slot, band, shift, floor)
             assert np.array_equal(slot.pivot - 1, pivot)  # f2py returns them 0-based
             assert np.array_equal(slot.lu[used], lu[used])
             x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
@@ -526,64 +507,27 @@ def test_factorization_argument_error_raises_value_error(monkeypatch):
 
     monkeypatch.setattr(diag, "_DGBTRF", illegal)
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
-    with ThreadPoolExecutor(2) as pool:
-        with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
-            symmetric_eigenvalues(band, True, lowest=10, pool=pool)
+    with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
+        symmetric_eigenvalues(band, True, lowest=10)
 
 
-def test_pipelined_failure_cancels_the_factorizations_not_yet_started(monkeypatch):
-    band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
-    shifted = symmetric_eigenvalues(band) + 0.25  # no vector converges
-    release, original, calls, futures = threading.Event(), diag._factor, itertools.count(), []
-
-    def held_after_the_first(*args):
-        if next(calls):  # the pool's one thread runs them in order
-            release.wait(timeout=60)
-        return original(*args)
-
-    class RecordedPool(ThreadPoolExecutor):
-        def submit(self, *args):
-            futures.append(super().submit(*args))
-            return futures[-1]
-
-    monkeypatch.setattr(diag, "_WORKERS", 2)
-    monkeypatch.setattr(diag, "_factor", held_after_the_first)
-    with RecordedPool(1) as pool:
-        try:
-            with pytest.raises(ConvergenceFailure, match="inverse iteration for eigenvalue"):
-                symmetric_eigenvalues(band, True, lowest=40, values=shifted, pool=pool)
-            # Vector 0 failed while the one worker held the factorization of shift 1;
-            # that of shift 2 had not started, and is cancelled.
-            assert len(futures) == 3 and futures[0].done() and futures[2].cancelled()
-        finally:
-            release.set()
-
-
-@pytest.mark.parametrize("workers", [None, 1, 2])
-def test_pipelined_block_holds_one_lu_buffer_per_factorization_in_flight(monkeypatch, workers):
+def test_vector_pass_holds_one_lu_buffer():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
     values = symmetric_eigenvalues(band)
     b, n = band.shape[0] - 1, band.shape[1]
     count = 40
-    if workers is not None:
-        monkeypatch.setattr(diag, "_WORKERS", workers)
-    with ThreadPoolExecutor(workers or 1) as pool:
-        symmetric_eigenvalues(band, True, lowest=count, values=values, pool=pool)  # warm the pool
-        tracemalloc.start()
-        try:
-            symmetric_eigenvalues(
-                band, True, lowest=count, values=values, pool=pool if workers else None
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # One LU buffer (with b spare columns) and its pivots per factorization
-    # in flight, plus the one the calling thread solves with.
-    buffers = 1 + (workers or 0)
+    symmetric_eigenvalues(band, True, lowest=count, values=values)  # warm up
+    tracemalloc.start()
+    try:
+        symmetric_eigenvalues(band, True, lowest=count, values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One LU buffer (with b spare columns) and its pivots serve every vector.
     lu = (3 * b + 1) * (n + b) * 8 + n * 4
-    # Beside the returned vectors and the buffers: the scaled band, the mask
+    # Beside the returned vectors and the buffer: the scaled band, the mask
     # of dropped entries and the work arrays, within four band-sized arrays.
-    assert peak <= count * n * 8 + buffers * lu + 4 * band.nbytes
+    assert peak <= count * n * 8 + lu + 4 * band.nbytes
 
 
 def test_worker_failure_raises_convergence_failure(monkeypatch):
@@ -624,8 +568,8 @@ def test_each_call_joins_its_pool_threads(monkeypatch):
 
 
 def test_vector_factorizations_run_on_the_calls_own_pool_threads(monkeypatch):
-    # Each factorization of the pipelined vector pass runs on a thread of the
-    # pool that its converged_levels call opened, and none outlives the call.
+    # Each factorization of the vector pass runs, in a block's job, on a thread
+    # of the pool that its converged_levels call opened, and none outlives the call.
     pools, factored_on = [], []
 
     class RecordedPool(ThreadPoolExecutor):
@@ -640,14 +584,12 @@ def test_vector_factorizations_run_on_the_calls_own_pool_threads(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(diag, "ThreadPoolExecutor", RecordedPool)
-    monkeypatch.setattr(diag, "_PIPELINE_DIM", 0)
     monkeypatch.setattr(diag, "_factor", spy_factor)
     before = threading.active_count()
     for _ in range(2):
         assert len(converged_levels(DEFAULT_PARAMS, k=20).levels) == 20
         assert threading.active_count() == before
     assert len(pools) == 2
-    # Every block's share is at least 2 levels, so each factorization runs on the pool.
     assert factored_on and threading.main_thread() not in {t for _, t in factored_on}
     for call, thread in factored_on:
         assert thread in pools[call - 1]._threads
@@ -719,9 +661,9 @@ def test_converged_levels_reference_run(default_table):
 
 
 def test_each_schedule_step_solved_once(monkeypatch):
-    assembled, values_solved, solves = [], [], []
-    original_assemble, original_solve = diag.assemble_hamiltonian, diag.symmetric_eigenvalues
-    original_values = diag._band_values
+    assembled, values_solved, vectors_solved = [], [], []
+    original_assemble, original_values = diag.assemble_hamiltonian, diag._band_values
+    original_vectors = diag._band_eigenvectors
 
     def spy_assemble(block, params):
         h = original_assemble(block, params)
@@ -732,13 +674,13 @@ def test_each_schedule_step_solved_once(monkeypatch):
         values_solved.append(band)
         return original_values(band)
 
-    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
-        solves.append((want_vectors, lowest))
-        return original_solve(matrix, want_vectors, lowest=lowest, values=values)
+    def spy_vectors(band, values, count):  # runs in a block's job on the pool
+        vectors_solved.append((band, count))
+        return original_vectors(band, values, count)
 
     monkeypatch.setattr(diag, "assemble_hamiltonian", spy_assemble)
     monkeypatch.setattr(diag, "_band_values", spy_values)
-    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
     report = converged_levels(DEFAULT_PARAMS)
     monkeypatch.undo()
 
@@ -747,9 +689,11 @@ def test_each_schedule_step_solved_once(monkeypatch):
     # Values-only solves: each assembled band once, at the kernel.
     assert len(values_solved) == 20
     assert {id(band) for band in values_solved} == {id(h) for _, h in assembled}
-    assert [lowest for vectors, lowest in solves if not vectors] == []
-    shares = [lowest for vectors, lowest in solves if vectors]
-    assert len(shares) <= 4 and sum(shares) == 100
+    # Vectors: each block of the accepted step that holds a ranked level once, for its share.
+    solved = [id(band) for band, _ in vectors_solved]
+    assert len(solved) == len(set(solved)) <= 4
+    assert set(solved) <= {id(h) for _, h in assembled[-4:]}
+    assert sum(count for _, count in vectors_solved) == 100
 
     full = [(*symmetric_eigenvalues(h, True), block) for block, h in assembled[-4:]]
     relabelled = _assign_global(full, 100)
@@ -795,21 +739,20 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     # At g = 0 the k-th level ties with the lowest level of another block, which the
     # stable ranking leaves out: that block has eigenvalues up to the k-th but no rank.
     params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
-    original_solve, original_assign = diag.symmetric_eigenvalues, diag.assign_quantum_numbers
+    original_vectors, original_claim = diag._band_eigenvectors, diag._claim
     solved, labelled = [], []
 
-    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
-        if want_vectors:
-            solved.append(lowest)
-        return original_solve(matrix, want_vectors, lowest=lowest, values=values)
+    def spy_vectors(band, values, count):  # runs in a block's job on the pool
+        solved.append(count)
+        return original_vectors(band, values, count)
 
-    def spy_assign(*args):
-        levels = original_assign(*args)
-        labelled.append(levels)
-        return levels
+    def spy_claim(vectors, count):
+        claims = original_claim(vectors, count)
+        labelled.append(claims)
+        return claims
 
-    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
-    monkeypatch.setattr(diag, "assign_quantum_numbers", spy_assign)
+    monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
+    monkeypatch.setattr(diag, "_claim", spy_claim)
     report = converged_levels(params, k=k)
     monkeypatch.undo()
 
@@ -837,19 +780,28 @@ def test_assignment_leaves_its_input_unchanged():
         assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
-def test_each_block_frees_its_vectors_before_the_next_solve(monkeypatch):
-    original_solve = diag.symmetric_eigenvalues
-    returned = []  # weak references to each vector array handed out
+@pytest.mark.parametrize("workers", [1, 2])
+def test_at_most_workers_blocks_vectors_are_alive(monkeypatch, workers):
+    # A block's vectors live in its job: at most one set per worker, and none
+    # outlives the job that solved it.
+    original_vectors, original_job = diag._band_eigenvectors, diag._label_block
+    returned, local = [], threading.local()  # weak references to each vector array
 
-    def spy_solve(matrix, want_vectors=False, lowest=0, values=None):
-        if not want_vectors:
-            return original_solve(matrix, want_vectors, lowest=lowest, values=values)
-        assert [ref() for ref in returned] == [None] * len(returned)
-        w, v = original_solve(matrix, want_vectors, lowest=lowest, values=values)
-        returned.append(weakref.ref(v))
-        return w, v
+    def spy_vectors(band, values, count):
+        assert sum(ref() is not None for ref in returned) < workers
+        vectors = original_vectors(band, values, count)
+        local.ref = weakref.ref(vectors)
+        returned.append(local.ref)  # list.append is atomic
+        return vectors
 
-    monkeypatch.setattr(diag, "symmetric_eigenvalues", spy_solve)
+    def spy_job(job, kth):
+        claims = original_job(job, kth)
+        assert local.ref() is None
+        return claims
+
+    monkeypatch.setattr(diag, "_WORKERS", workers)
+    monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
+    monkeypatch.setattr(diag, "_label_block", spy_job)
     report = converged_levels(DEFAULT_PARAMS)
     monkeypatch.undo()
 
