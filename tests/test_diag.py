@@ -451,7 +451,27 @@ def test_converged_levels_independent_of_the_worker_count(monkeypatch):
     assert concurrent == sequential
 
 
-def test_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
+@pytest.mark.parametrize(
+    ("params", "k", "digits"),
+    [
+        (DEFAULT_PARAMS, 20, 8),
+        (DEFAULT_PARAMS, 100, 8),
+        (DEFAULT_PARAMS, 500, 10),
+        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0), 20, 8),  # exact zero pivots
+    ],
+    ids=["k20", "k100", "k500", "g0"],
+)
+def test_pipelined_vector_pass_is_bitwise_the_sequential(monkeypatch, params, k, digits):
+    # The accepted step's block jobs run one after another on one worker, two
+    # or four at once on more: the report must not depend on it.
+    monkeypatch.setattr(diag, "_WORKERS", 1)
+    sequential = converged_levels(params, k=k, digits=digits)
+    for workers in (2, 4):
+        monkeypatch.setattr(diag, "_WORKERS", workers)
+        assert converged_levels(params, k=k, digits=digits) == sequential
+
+
+def test_pipelined_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
     # More block jobs at once than cores, switching every 10 us: each job's
     # workspace must stay its own.
     monkeypatch.setattr(diag, "_WORKERS", 1)
@@ -511,23 +531,33 @@ def test_factorization_argument_error_raises_value_error(monkeypatch):
         symmetric_eigenvalues(band, True, lowest=10)
 
 
-def test_vector_pass_holds_one_lu_buffer():
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_pipelined_block_holds_one_lu_buffer_per_factorization_in_flight(workers):
+    # Each block job factors in one LU buffer of its own: `workers` jobs in
+    # flight on a pool (None: one job on the calling thread) hold one each.
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
     values = symmetric_eigenvalues(band)
     b, n = band.shape[0] - 1, band.shape[1]
     count = 40
-    symmetric_eigenvalues(band, True, lowest=count, values=values)  # warm up
-    tracemalloc.start()
-    try:
-        symmetric_eigenvalues(band, True, lowest=count, values=values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # One LU buffer (with b spare columns) and its pivots serve every vector.
+    job = (values, band, None, np.arange(1, count + 1))
+    jobs = workers or 1
+    with ThreadPoolExecutor(jobs) as pool:
+        list(pool.map(diag._label_block, [job] * jobs, [values[count - 1]] * jobs))  # warm up
+        tracemalloc.start()
+        try:
+            if workers:
+                list(pool.map(diag._label_block, [job] * jobs, [values[count - 1]] * jobs))
+            else:
+                diag._label_block(job, values[count - 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # One LU buffer (with b spare columns) and its pivots serve all of a job's vectors.
     lu = (3 * b + 1) * (n + b) * 8 + n * 4
-    # Beside the returned vectors and the buffer: the scaled band, the mask
-    # of dropped entries and the work arrays, within four band-sized arrays.
-    assert peak <= count * n * 8 + lu + 4 * band.nbytes
+    # Per job, beside its vectors, their squares and its buffer: the scaled
+    # band, the mask of dropped entries and the work arrays, within two
+    # band-sized arrays.  A second buffer per job would not fit.
+    assert peak <= jobs * (2 * count * n * 8 + lu + 2 * band.nbytes)
 
 
 def test_worker_failure_raises_convergence_failure(monkeypatch):
