@@ -1,14 +1,19 @@
 """Byte-identity of the CLI's output: each command replayed in process against tests/golden/.
 
 The golden files are the stdout (and, for compare, the JSON sidecar) of
-the commands in CASES.  A change that is meant to move an output
-regenerates them with `PYTHONPATH=src python tests/test_golden.py` and
-says why in its description; any other change must leave them unchanged.
+the commands in CASES, and the sha256 and byte length of the
+--dump-matrix file of each command in DUMPS.  A change that is meant to
+move an output regenerates them with `PYTHONPATH=src python
+tests/test_golden.py` and says why in its description; any other change
+must leave them unchanged.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,6 +34,15 @@ CASES = {
 }
 #: The sidecar that `compare --json` writes beside compare.csv's stdout.
 SIDECAR = "compare.json"
+#: Dump name -> the command line whose --dump-matrix file it pins.
+DUMPS = {
+    "levels": ["levels"],
+    "levels_hbar0.1": ["levels", "--hbar", "0.1"],
+}
+#: {dump name: {"sha256": ..., "bytes": ...}}; the files themselves run to hundreds of KB.
+DUMP_PINS = GOLDEN / "dumps.json"
+#: The benchmark's golden outputs, whose dump workload is `levels --dump-matrix`.
+BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
 
 
 def _replay(argv, sidecar=None):
@@ -37,6 +51,13 @@ def _replay(argv, sidecar=None):
     with contextlib.redirect_stdout(stdout):
         code = main([*argv, "--json", str(sidecar)] if sidecar else argv)
     return code, stdout.getvalue().encode("ascii"), sidecar.read_bytes() if sidecar else None
+
+
+def _dump_pin(argv, path):
+    """(exit code, {"sha256", "bytes"} of the matrix file) of argv run with --dump-matrix path."""
+    code, _, _ = _replay([*argv, "--dump-matrix", str(path)])
+    data = path.read_bytes()
+    return code, {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -49,6 +70,18 @@ def test_stdout_is_byte_identical_to_golden(name, tmp_path):
         assert written == (GOLDEN / SIDECAR).read_bytes()
 
 
+@pytest.mark.parametrize("name", list(DUMPS))
+def test_matrix_dump_is_byte_identical_to_golden(name, tmp_path):
+    code, pin = _dump_pin(DUMPS[name], tmp_path / "matrix.txt")
+    assert code == 0
+    assert pin == json.loads(DUMP_PINS.read_text())[name]
+
+
+def test_default_dump_pin_is_the_benchmarks():
+    pinned = json.loads(DUMP_PINS.read_text())["levels"]["sha256"]
+    assert pinned == json.loads(BENCH_GOLDEN.read_text())["dump"]["dump_sha256"]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
@@ -57,3 +90,10 @@ if __name__ == "__main__":
         if code:
             sys.exit(f"{' '.join(argv)} exited {code}")
         (GOLDEN / name).write_bytes(out)
+    pins = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, argv in DUMPS.items():
+            code, pins[name] = _dump_pin(argv, Path(scratch) / "matrix.txt")
+            if code:
+                sys.exit(f"{' '.join(argv)} --dump-matrix exited {code}")
+    DUMP_PINS.write_text(json.dumps(pins, indent=1) + "\n")
