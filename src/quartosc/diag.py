@@ -43,7 +43,7 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 
 from .model import ModelError, ModelParams, QuantumNumbers
-from .quantum import ladder_factor
+from .quantum import coupling_quarter, ladder_factor
 
 #: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
 SCHEDULE_START = 14
@@ -117,19 +117,23 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     2 // step states, so b = o1 m2 + o2: m2 + 1 for a parity block,
     2 m2 + 2 for the square cut.  Entries are computed in the product order of
     oracles.v_matrix_element and quantum.e0_quantum, so each is bitwise
-    theirs.  Raises MatrixOverflow if an entry is not finite.
+    theirs; the couplings scale back last from quantum.coupling_quarter's
+    hbar^2 / 4.  Raises MatrixOverflow if an entry is not finite.
     """
     x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
     m1, m2 = len(basis.modes1), len(basis.modes2)
     g, hbar = params.g, params.hbar
     b = max(x1) * m2 + max(x2)
     band = np.zeros((b + 1, m1, m2))
+    quarter, s = coupling_quarter(hbar)  # hbar^2 / 4 = quarter 2^(-2 s), s = 0 unless subnormal
     with np.errstate(over="ignore", invalid="ignore"):
         for (d, x1d), (e, x2e) in itertools.product(x1.items(), x2.items()):
             if (d, e) >= (0, 0):  # on or below the diagonal
                 # Row d * m2 + e at column (j, k) holds H[(j + d, k + e), (j, k)].
                 k = slice(max(0, -e), min(m2, m2 - e))
-                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(0.25 * hbar * hbar * x1d, x2e)
+                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(quarter * x1d, x2e)
+        if s:
+            band = np.ldexp(band, -2 * s)
         band = band.reshape(b + 1, m1 * m2)
         n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
         band[0] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
@@ -571,28 +575,31 @@ def converged_levels(
     return ConvergenceReport(final_n_max=n_max, levels=tuple(levels), history=tuple(history))
 
 
-#: Rows of the band whose nonzeros dump_matrix_triplets finds with one np.nonzero.
-_DUMP_ROWS = 128
+#: Entries that dump_matrix_triplets formats with one % operation, which bounds its buffers.
+_DUMP_CHUNK = 4096
 
 
 def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     """Write the nonzero entries of a symmetric matrix as "row col value" lines.
 
-    matrix is the lower band, as assemble_hamiltonian returns it.  Both
-    triangles are written, row by row, 0-based, 17 significant digits.
+    matrix is the lower band, zero past the matrix, as assemble_hamiltonian
+    returns it.  Both triangles are written, 0-based, rows ascending and
+    columns ascending within a row, each value as "%.17g"; zeros, -0.0
+    included, are left out.  Each distinct value is formatted once.
     """
     band = np.asarray(matrix)
-    b, n = band.shape[0] - 1, band.shape[1]
-    rows = np.zeros((n, 2 * b + 1))  # rows[i, b + j - i] = H[i, j]: no n x n array
-    for d in range(b + 1):
-        rows[d:, b - d] = rows[: n - d, b + d] = band[d, : n - d]
+    n = band.shape[1]
+    d, c = np.nonzero(band)  # band[d, c] = H[c + d, c]
+    off = d > 0  # mirrored into the upper triangle
+    rows, cols = np.concatenate([c + d, c[off]]), np.concatenate([c, (c + d)[off]])
+    order = np.argsort(rows * n + cols)
+    values = band[d, c]
+    distinct, index = np.unique(np.concatenate([values, values[off]])[order], return_inverse=True)
+    text = ["%.17g" % v for v in distinct.tolist()]
     with open(path, "w", encoding="ascii") as fh:
-        # A nonzero per row costs one numpy call a row; one over all rows, an index of every entry.
-        for start in range(0, n, _DUMP_ROWS):
-            chunk = rows[start : start + _DUMP_ROWS]
-            i, c = np.nonzero(chunk)  # row by row, columns ascending
-            values = chunk[i, c].tolist()
-            i += start
-            fh.writelines(
-                f"{r} {j} {v:.17g}\n" for r, j, v in zip(i.tolist(), (c + i - b).tolist(), values)
-            )
+        for start in range(0, len(order), _DUMP_CHUNK):
+            chunk = order[start : start + _DUMP_CHUNK]
+            cells = [None] * (3 * len(chunk))
+            cells[0::3], cells[1::3] = rows[chunk].tolist(), cols[chunk].tolist()
+            cells[2::3] = [text[i] for i in index[start : start + _DUMP_CHUNK].tolist()]
+            fh.write(("%d %d %s\n" * len(chunk)) % tuple(cells))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import ActionPair, h1_actions
 from .model import ModelParams, QuantumNumbers
-from .quantum import ladder_factor
+from .quantum import coupling_quarter, ladder_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,12 +143,20 @@ _STEPS = (-2, 0, 2)
 STENCIL = tuple((d1, d2) for d1 in _STEPS for d2 in _STEPS)
 
 
-def v_matrix_element(bra: QuantumNumbers, ket: QuantumNumbers, hbar: float) -> float:
-    """<bra|V|ket> = (hbar^2/4) * factor(n1', n1) * factor(n2', n2)."""
+def v_matrix_element(
+    bra: QuantumNumbers, ket: QuantumNumbers, hbar: float, g: float = 1.0
+) -> float:
+    """<bra|g V|ket> = g * (hbar^2/4) * factor(n1', n1) * factor(n2', n2).
+
+    hbar^2/4 comes from quantum.coupling_quarter and the product is scaled
+    back last, as diag.assemble_hamiltonian forms its couplings.
+    """
     d1, d2 = bra.n1 - ket.n1, bra.n2 - ket.n2
     if (d1, d2) not in STENCIL:
         return 0.0
-    return float(0.25 * hbar * hbar * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
+    quarter, s = coupling_quarter(hbar)
+    element = float(quarter * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
+    return math.ldexp(g * element, -2 * s)
 
 
 def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:

@@ -17,10 +17,12 @@ import pytest
 
 from quartosc.classical import ActionPair, h1_actions, h2_actions, semiclassical_series
 from quartosc.diag import (
+    N_MAX_CAP,
     _block_spectra,
     assemble_hamiltonian,
     build_basis,
     converged_levels,
+    split_parity_blocks,
     symmetric_eigenvalues,
 )
 from quartosc.model import ModelParams, QuantumNumbers
@@ -312,6 +314,28 @@ def test_exact_minus_second_order_is_third_order_in_g():
         residuals.append([lvl.energy - qp_series(lvl.assigned, params).total(g) for lvl in levels])
     coarse, fine = np.array(residuals[:-1]), np.array(residuals[1:])
     assert np.all((7.0 < coarse / fine) & (coarse / fine < 9.0))
+
+
+@pytest.mark.parametrize(
+    "params, k, digits",
+    [
+        (PARAMS, 100, 8),
+        (PARAMS, 500, 10),
+        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1), 100, 8),
+        (ModelParams(omega1=1.0, omega2=SQRT2, g=0.3, hbar=1.0), 100, 8),
+        (ModelParams(omega1=1.0, omega2=0.3, g=0.2, hbar=1.0), 100, 8),
+    ],
+    ids=["reference", "deep", "hbar0.1", "g0.3", "omega2_0.3_g0.2"],
+)
+def test_reported_digits_hold_against_the_largest_basis(params, k, digits):
+    # The digit claim: each reported energy lies within its threshold of the same
+    # rank's eigenvalue in the largest scheduled basis, n_max = N_MAX_CAP (80).
+    report = converged_levels(params, k=k, digits=digits)
+    bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(N_MAX_CAP))]
+    truth = np.sort(np.concatenate([symmetric_eigenvalues(band) for band in bands]))[:k]
+    energies = np.array([lvl.energy for lvl in report.levels])
+    threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(energies))
+    assert np.all(np.abs(energies - truth) < threshold)
 
 
 # --- strict as-printed comparisons for the documented defective cells ---

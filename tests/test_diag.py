@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import multiprocessing
@@ -48,12 +49,12 @@ def _assemble_loop(states, params):
     g, hbar = params.g, params.hbar
     for i, (n1, n2) in enumerate(states):
         ket = QuantumNumbers(n1, n2)
-        h[i, i] = e0_quantum(ket, params) + g * v_matrix_element(ket, ket, hbar)
+        h[i, i] = e0_quantum(ket, params) + v_matrix_element(ket, ket, hbar, g)
         for d1, d2 in _LOOP_STEPS:
             m = (n1 + d1, n2 + d2)
             j = index.get(m)
             if j is not None:
-                h[i, j] = g * v_matrix_element(QuantumNumbers(*m), ket, hbar)
+                h[i, j] = v_matrix_element(QuantumNumbers(*m), ket, hbar, g)
     return h
 
 
@@ -173,6 +174,19 @@ def test_specific_off_diagonal_entry():
     assert h[i - j, j] == pytest.approx(0.1 * 0.25 * math.sqrt(2.0), rel=1e-15)
 
 
+def test_coupling_keeps_full_precision_where_quarter_hbar_squared_is_subnormal():
+    # 0.25 * hbar^2 = 2.5e-321 is subnormal: g times it would put this entry 5.6e-4 off.
+    params = ModelParams(omega1=1.0, omega2=SQRT2, g=1e150, hbar=1e-160)
+    basis = build_basis(2)
+    i, j = basis.states.index((0, 2)), basis.states.index((0, 0))
+    with decimal.localcontext(prec=40):
+        g, hbar = decimal.Decimal(1e150), decimal.Decimal(1e-160)
+        exact = float(g * hbar * hbar / 4 * decimal.Decimal(2).sqrt())
+    entry = assemble_hamiltonian(basis, params)[i - j, j]
+    assert entry == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert v_matrix_element(QuantumNumbers(0, 2), QuantumNumbers(0, 0), 1e-160, 1e150) == entry
+
+
 def test_matrix_is_exactly_symmetric():
     # What makes storing only the lower band lossless.
     h = _assemble_loop(build_basis(6).states, PARAMS)
@@ -226,7 +240,7 @@ def test_no_cross_block_coupling():
         DEFAULT_PARAMS,
         ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1),
         ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0),
-        # 0.25 * hbar^2 is subnormal here: the product order is pinned.
+        # 0.25 * hbar^2 is subnormal here: both form it from a scaled hbar and scale back last.
         ModelParams(omega1=1.0, omega2=SQRT2, g=1e159, hbar=1e-160),
     ],
     ids=["default", "sqrt3", "uncoupled", "subnormal"],
@@ -908,9 +922,35 @@ def test_matrix_dump_round_trips(tmp_path):
 
 
 def test_matrix_dump_matches_entrywise_writer(tmp_path):
-    for n_max in (6, 14):  # 49 rows; 225 rows, across a chunk boundary
-        h = assemble_hamiltonian(build_basis(n_max), PARAMS)
+    uncoupled = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
+    bands = {
+        "n_max 6": assemble_hamiltonian(build_basis(6), PARAMS),
+        "n_max 14": assemble_hamiltonian(build_basis(14), PARAMS),
+        "n_max 34": assemble_hamiltonian(build_basis(34), PARAMS),  # 10,201 entries
+        "g=0": assemble_hamiltonian(build_basis(6), uncoupled),  # diagonal only
+        "n_max 0": assemble_hamiltonian(build_basis(0), PARAMS),  # b = 0, one entry
+        "all zero": np.zeros((3, 5)),  # an empty file
+    }
+    for h in (bands["n_max 6"], bands["n_max 14"]):
         h[1, 0] = -0.0  # H[1, 0] and H[0, 1]
+    for name, h in bands.items():
         dump_matrix_triplets(h, str(tmp_path / "fast.txt"))
         _dump_loop(_dense(h), str(tmp_path / "loop.txt"))
-        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+        written = (tmp_path / "fast.txt").read_bytes()
+        assert written == (tmp_path / "loop.txt").read_bytes(), name
+    # The last band written above: no entry, so no line.
+    assert written == b""
+    assert bands["n_max 0"].shape == (1, 1)
+    assert np.count_nonzero(_dense(bands["n_max 34"])) > 2 * diag._DUMP_CHUNK  # three chunks
+    assert not bands["g=0"][1:].any()
+
+
+def test_matrix_dump_memory_is_bounded(tmp_path):
+    band = assemble_hamiltonian(build_basis(69), PARAMS)  # 4900 rows, 42,436 entries
+    tracemalloc.start()
+    try:
+        dump_matrix_triplets(band, str(tmp_path / "matrix.txt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
