@@ -13,20 +13,22 @@ for eigenvalues alone with LAPACK's band solver and enlarges the basis
 until the requested number of levels stops moving at the digit target.  A
 step's four bands are assembled, then solved concurrently by one map on a
 pool of up to min(4, usable CPUs) threads that converged_levels opens for
-its steps and joins before it returns, so no thread outlives a call: each
-reaches dsbevd through scipy.linalg.cython_lapack by a ctypes foreign
-call, which releases the GIL.  Each step ranks its k lowest levels once,
-by one stable sort of all blocks' eigenvalues.  Only the accepted step
-takes eigenvectors, by inverse iteration on each band, shifted by the
-eigenvalues already found and scaled by a power of two, so that any valid
-g and hbar stay inside the exponent range; no n x n array is built.  That
-pass is one more map on the same pool, one job per block that holds a
-ranked level: the job solves the block's vectors in order, then runs the
-block's claim loop on them and returns the claims, so no vector array
-outlives its job.  The blocks share no basis state, so the labels are
-those of one claim loop over all blocks; the calling thread turns the
-claims into levels.  The jobs' factorizations and solves (dgbtrf, dgbtrs)
-are ctypes calls too, which release the GIL.
+its steps and joins before it returns, so no thread outlives a call.
+Every LAPACK and BLAS routine here (dsbevd, dgbtrf, dgbtrs, dsbmv,
+dgeqp3) is a ctypes foreign call, bound by quartosc._lapack to the one
+scipy exports, which releases the GIL; scipy.linalg itself is never
+imported.  Each step ranks its k lowest levels once, by one stable sort
+of all blocks' eigenvalues.  Only the accepted step takes eigenvectors,
+by inverse iteration on each band, shifted by the eigenvalues already
+found and scaled by a power of two, so that any valid g and hbar stay
+inside the exponent range; no n x n array is built.  That pass is one
+more map on the same pool, one job per block that holds a ranked level:
+the job solves the block's vectors in order, then runs the block's claim
+loop on them and returns the claims, so no vector array outlives its job.
+The blocks share no basis state, so the labels are those of one claim
+loop over all blocks; the calling thread turns the claims into levels.
+The jobs' factorizations, solves and residuals (dgbtrf, dgbtrs, dsbmv)
+run without the GIL, so the jobs overlap.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
 
+from . import _lapack
 from .model import ModelError, ModelParams, QuantumNumbers
 from .quantum import coupling_quarter, ladder_factor
 
@@ -151,40 +152,6 @@ def _mode_diagonals(modes: range) -> dict[int, np.ndarray]:
     return {-o: ladder_factor(n[o:], -2), 0: ladder_factor(n, 0), o: ladder_factor(n[:-o], 2)}
 
 
-def _cython_lapack(name: str, *argtypes):
-    """The LAPACK routine scipy.linalg.cython_lapack exports as name, as a ctypes function.
-
-    It is the routine scipy.linalg's own wrappers call, in the same LAPACK
-    library.  A ctypes foreign call releases the GIL while it runs; the
-    f2py wrappers behind scipy.linalg hold it.
-    """
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
-
-
-_INT = ctypes.POINTER(ctypes.c_int)
-_BUFFER = ctypes.c_void_p  # the address of a numpy array made by the caller
-#: dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork, liwork, info)
-_DSBEVD = _cython_lapack(
-    "dsbevd",
-    ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _BUFFER, _INT,
-    _BUFFER, _BUFFER, _INT, _BUFFER, _INT, _BUFFER, _INT, _INT,
-)
-
-#: dgbtrf(m, n, kl, ku, ab, ldab, ipiv, info)
-_DGBTRF = _cython_lapack("dgbtrf", _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _INT)
-#: dgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
-_DGBTRS = _cython_lapack(
-    "dgbtrs",
-    ctypes.c_char_p, _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _INT, _INT,
-)
-
 #: Threads that solve a schedule step's four parity blocks at once, and the
 #: accepted step's blocks' vectors, in a pool that lives for one
 #: converged_levels call.
@@ -199,8 +166,9 @@ def _band_values(band: np.ndarray) -> np.ndarray:
 
     LAPACK dsbevd with jobz 'N' (dsbtrd band reduction, then dsterf), with
     the arguments scipy.linalg.eigvals_banded(band, lower=True) passes it,
-    so the values are bitwise that function's.  The call releases the
-    GIL.  Raises ConvergenceFailure if dsbevd does not converge.
+    so the values are bitwise that function's.  The ctypes call
+    (quartosc._lapack) releases the GIL.  Raises ConvergenceFailure if
+    dsbevd does not converge.
     """
     b, n = band.shape[0] - 1, band.shape[1]
     ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
@@ -209,7 +177,7 @@ def _band_values(band: np.ndarray) -> np.ndarray:
     work = np.empty(max(1, 2 * n))
     iwork = np.empty(1, dtype=np.intc)
     info = ctypes.c_int()
-    _DSBEVD(
+    _lapack.dsbevd(
         b"N", b"L", ctypes.c_int(n), ctypes.c_int(b), ab.ctypes.data, ctypes.c_int(b + 1),
         w.ctypes.data, z.ctypes.data, ctypes.c_int(1), work.ctypes.data, ctypes.c_int(len(work)),
         iwork.ctypes.data, ctypes.c_int(1), ctypes.byref(info),
@@ -262,9 +230,13 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     band storage (_factor: dgbtrf, pivots below eps max|E| raised to it),
     then band solves (dgbtrs) from a seeded start vector, each followed by
     Gram-Schmidt against the earlier vectors of its cluster (gaps below
-    1e-3 max|E|), until the residual |Hx - lambda x| is at the rounding
-    scale ROUNDING_FACTOR eps max|E|.  Each run of eigenvalues no more
-    than eps max|E| apart then gets a canonical basis of its eigenspace
+    1e-3 max|E|), until the residual |Hx - lambda x|, with Hx from BLAS
+    dsbmv, is at the rounding scale ROUNDING_FACTOR eps max|E|.  All three
+    are ctypes calls (quartosc._lapack), which release the GIL, into
+    buffers made once per pass (_LUSlot).  dsbmv gets the arguments
+    scipy.linalg.blas.dsbmv(b, 1.0, band, x, lower=1) passes, so Hx is
+    bitwise that function's.  Each run of eigenvalues no more than
+    eps max|E| apart then gets a canonical basis of its eigenspace
     (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
     rounding scale within INVERSE_ITERATIONS solves, or if a run's basis
     cannot be formed (LinAlgError).
@@ -273,7 +245,8 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
     # solves, which grow x by up to 1 / (eps max|E|), cannot overflow.
     exponent = -np.frexp(max(abs(values[0]), abs(values[-1])))[1]
-    lower = np.asfortranarray(np.ldexp(band, exponent))
+    slot = _LUSlot(b, n)
+    lower = np.ldexp(band, exponent, out=slot.band)
     shifts = np.ldexp(values, exponent)
     scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
     floor = np.finfo(float).eps * scale
@@ -281,8 +254,7 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     dropped = np.abs(lower) < floor / n
     kept = np.where(dropped, 0.0, lower) if dropped.any() else lower
-    slot = _LUSlot(b, n)
-    x = slot.x
+    x, hx = slot.x, slot.hx
     rng = np.random.default_rng(0)
     vectors = np.empty((count, n))
     first = 0  # the current cluster's first eigenvalue
@@ -292,13 +264,14 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
         _factor(slot, kept, shift, floor)
         x[:] = rng.uniform(-1.0, 1.0, n)
         for solve in range(INVERSE_ITERATIONS):
-            _DGBTRS(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
+            _lapack.dgbtrs(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
             cluster = vectors[first:j]
             x -= (cluster @ x) @ cluster
             x /= _norm(x)
             if not solve:
                 continue  # the first solve leaves the factorization's rounding, over the gap
-            hx = scipy.linalg.blas.dsbmv(b, 1.0, lower, x, lower=1)
+            hx.fill(0.0)  # the zeroed y that scipy.linalg.blas.dsbmv passes with beta 0
+            _lapack.dsbmv(*slot.residual_args)  # hx = H x
             if _norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
                 break
         else:
@@ -318,14 +291,16 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
 
 
 class _LUSlot:
-    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots and x.
+    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots, x and hx.
 
     Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
     0..b-1, which it does not read.  upper views lu so that upper[d, c] is
     lu[2b - d, c + d], the place of H[c, c + d]: the lower band written
     through it fills the upper triangle.  Its entries past column n - 1 land
-    in b spare columns after lu's.  The LAPACK arguments, addresses
-    included, are made once, and serve every vector of the pass.
+    in b spare columns after lu's.  band holds the scaled (b + 1, n) lower
+    band, in Fortran order, and the residual's dsbmv writes H x into hx.
+    The LAPACK and BLAS arguments, addresses included, are made once, and
+    serve every vector of the pass.
     """
 
     def __init__(self, b: int, n: int) -> None:
@@ -343,7 +318,14 @@ class _LUSlot:
         lu, pivot, info = self.lu.ctypes.data, self.pivot.ctypes.data, ctypes.byref(self.info)
         self.factor_args = (n_, n_, b_, b_, lu, ldab, pivot, info)
         x = self.x.ctypes.data
-        self.solve_args = (b"N", n_, b_, b_, ctypes.c_int(1), lu, ldab, pivot, x, n_, info)
+        one = ctypes.c_int(1)
+        self.solve_args = (b"N", n_, b_, b_, one, lu, ldab, pivot, x, n_, info)
+        self.band = np.empty((b + 1, n), order="F")
+        self.hx = np.empty(n)
+        self.residual_args = (
+            b"L", n_, b_, ctypes.c_double(1.0), self.band.ctypes.data, ctypes.c_int(b + 1),
+            x, one, ctypes.c_double(0.0), self.hx.ctypes.data, one,
+        )
 
 
 def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None:
@@ -358,7 +340,7 @@ def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None
     lu[2 * b :] = band  # H[c + d, c]
     slot.upper[...] = band  # H[c, c + d]
     lu[2 * b] -= shift
-    _DGBTRF(*slot.factor_args)
+    _lapack.dgbtrf(*slot.factor_args)
     if slot.info.value < 0:
         raise ValueError(f"dgbtrf: argument {-slot.info.value} had an illegal value")
     u = lu[2 * b]
@@ -374,15 +356,40 @@ def _norm(v: np.ndarray) -> float:
 def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the same space, independent of the given basis.
 
-    Pivoted QR picks m well-conditioned columns (basis states); the span's
-    unique basis that is the identity on them, in column order, is then
-    orthonormalized by Gram-Schmidt.  Where the span is that of m unit
-    vectors, as for exactly degenerate uncoupled states, those come back.
+    Pivoted QR (_pivots: LAPACK dgeqp3, bitwise the column order of
+    scipy.linalg.qr with pivoting) picks m well-conditioned columns, that
+    is, basis states; the span's unique basis that is the identity on them,
+    in column order, is then orthonormalized by Gram-Schmidt.  Where the
+    span is that of m unit vectors, as for exactly degenerate uncoupled
+    states, those come back.
     """
-    m = len(rows)
-    picked = np.sort(scipy.linalg.qr(rows, mode="r", pivoting=True)[1][:m])
+    picked = np.sort(_pivots(rows)[: len(rows)])
     q, r = np.linalg.qr(np.linalg.solve(rows[:, picked], rows).T)
     return (q * np.copysign(1.0, np.diagonal(r))).T
+
+
+def _pivots(rows: np.ndarray) -> np.ndarray:
+    """The 0-based column order of rows' QR with column pivoting, by LAPACK dgeqp3.
+
+    The arguments are those scipy.linalg.qr(rows, pivoting=True) passes:
+    a Fortran copy of rows, jpvt zeroed so that every column is free, and
+    the workspace size that a first query returns; so the order is bitwise
+    its second result.  The calls release the GIL.
+    """
+    m, n = rows.shape
+    a = np.array(rows, order="F")  # dgeqp3 overwrites it
+    jpvt = np.zeros(n, dtype=np.intc)
+    tau = np.empty(min(m, n))
+    work = np.empty(1)
+    info = ctypes.c_int()
+    head = (ctypes.c_int(m), ctypes.c_int(n), a.ctypes.data, ctypes.c_int(m))
+    head += (jpvt.ctypes.data, tau.ctypes.data)
+    _lapack.dgeqp3(*head, work.ctypes.data, ctypes.c_int(-1), ctypes.byref(info))  # size query
+    work = np.empty(int(work[0]))
+    _lapack.dgeqp3(*head, work.ctypes.data, ctypes.c_int(len(work)), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dgeqp3: argument {-info.value} had an illegal value")
+    return jpvt - 1
 
 
 @dataclass(frozen=True)

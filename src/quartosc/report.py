@@ -9,6 +9,8 @@ mean spacing of the lowest 100 exact levels.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
@@ -80,10 +82,12 @@ def comparison_table(
     report = converged_levels(params, k=k, digits=digits)
     energies = [lvl.energy for lvl in report.levels]
     spacing = mean_level_spacing(energies, SPACING_COUNT)
+    s = _series_scale(params)
+    scaled = replace(params, g=math.ldexp(params.g, -s), hbar=math.ldexp(params.hbar, s))
     rows = []
     for lvl in report.levels[:n_rows]:
-        e_sc = semiclassical_series(lvl.assigned, params).total(params.g)
-        e_qp = qp_series(lvl.assigned, params).total(params.g)
+        e_sc = math.ldexp(semiclassical_series(lvl.assigned, scaled).total(scaled.g), -s)
+        e_qp = math.ldexp(qp_series(lvl.assigned, scaled).total(scaled.g), -s)
         rows.append(
             ComparisonRow(
                 n=lvl.assigned,
@@ -95,6 +99,21 @@ def comparison_table(
             )
         )
     return ComparisonTable(rows=tuple(rows), spacing=spacing, report=report)
+
+
+def _series_scale(params: ModelParams) -> int:
+    """s such that both series at hbar 2^s and g 2^-s, times 2^-s, keep full precision.
+
+    Every term of both series is hbar (g hbar)^k times a function of n and
+    the frequencies, so the rescaled evaluation is exact.  As in
+    quantum.coupling_quarter, s is 0, which leaves each sum bitwise
+    unscaled, unless g g is not finite or hbar^3 / 32 is below the smallest
+    normal double; then hbar 2^s lies in [0.5, 1).
+    """
+    g, hbar = params.g, params.hbar
+    if math.isfinite(g * g) and hbar**3 / 32.0 >= sys.float_info.min:
+        return 0
+    return -math.frexp(hbar)[1]
 
 
 def hbar_scan(

@@ -117,19 +117,30 @@ def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
 
 def test_the_cli_loads_no_oracle_and_leaves_no_thread():
     probe = (
-        "import sys, threading\n"
+        "import ctypes, sys, threading\n"
         "import quartosc.cli\n"
         "assert 'quartosc.oracles' not in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
         "before = threading.active_count()\n"
         "quartosc.cli.main(['levels', '--k', '3'])\n"
         "assert threading.active_count() == before\n"
+        # Degenerate levels: the canonical basis's pivoted QR runs.
+        "quartosc.cli.main(['levels', '--g', '0', '--omega2', '0.5', '--k', '20'])\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        # scipy.linalg still imports afterwards, and exports the routine the package bound.
+        "import scipy.linalg\n"
+        "from quartosc import _lapack\n"
+        "capsule = scipy.linalg.cython_lapack.__pyx_capi__['dsbevd']\n"
+        "pointer = _lapack._capsule_pointer(capsule, _lapack._capsule_name(capsule))\n"
+        "assert pointer == ctypes.cast(_lapack.dsbevd, ctypes.c_void_p).value\n"
+        "assert scipy.linalg.eigvalsh([[2.0, 1.0], [1.0, 2.0]]).tolist() == [1.0, 3.0]\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(quartosc.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("\n") == 4  # header + 3 levels
+    assert proc.stdout.count("\n") == 4 + 21  # header + 3 levels, header + 20 levels
 
 
 def test_valid_input_at_the_edges_of_double_precision_answers_or_exits_cleanly(capsys):
@@ -175,6 +186,24 @@ def test_compare_default_rows(capsys):
     assert lines[0] == "n1,n2,e_exact,e_sc,e_qp,err_sc_over_D,err_qp_over_D"
     assert lines[1].startswith("0,0,1.230722,1.230910,1.230522,")
     assert len(lines) == 3
+
+
+
+@pytest.mark.parametrize(
+    ("g", "hbar", "exponent"),
+    [("1e159", "1e-160", "e-160"), ("1e154", "1e-155", "e-155")],
+    ids=["g_squared_overflows", "hbar_cubed_underflows"],
+)
+def test_series_columns_at_tiny_hbar_and_huge_g(capsys, g, hbar, exponent):
+    # g hbar = 0.1, and every series term is hbar (g hbar)^k f(n, omega): the
+    # ground state's e_sc and e_qp are the default table's times hbar.
+    exact, sc, qp = (f"{value}{exponent}" for value in ("1.230722", "1.230910", "1.230522"))
+    code, out, _ = run(capsys, "compare", "--g", g, "--hbar", hbar, "--rows", "3")
+    assert code == 0 and "nan" not in out
+    assert out.splitlines()[1].startswith(f"0,0,{exact},{sc},{qp},")
+    code, out, _ = run(capsys, "scan-hbar", "--g", g, "--hbars", hbar, "--rows", "3")
+    assert code == 0 and "nan" not in out
+    assert out.splitlines()[1].startswith(f"{hbar},1,0,0,{exact},{sc},")
 
 
 def test_compare_output_deterministic(capsys, tmp_path):

@@ -3,17 +3,20 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from quartosc import diag
+from quartosc import _lapack, diag
 from quartosc.diag import (
     ROUNDING_FACTOR,
     BudgetExceeded,
@@ -531,15 +534,93 @@ def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
             assert np.array_equal(slot.lu[used], lu[used])
             x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
             slot.x[:] = rhs
-            diag._DGBTRS(*slot.solve_args)
+            _lapack.dgbtrs(*slot.solve_args)
             assert np.array_equal(slot.x, x)
+
+
+@pytest.mark.parametrize("n_max", [34, 69])
+def test_ctypes_band_product_is_bitwise_the_f2py_wrapper(n_max):
+    rng = np.random.default_rng(2)
+    for block in split_parity_blocks(build_basis(n_max)):
+        band = assemble_hamiltonian(block, DEFAULT_PARAMS)
+        b, n = band.shape[0] - 1, band.shape[1]
+        values = diag._band_values(band)
+        slot = diag._LUSlot(b, n)
+        # The scaled band of the vector pass, max|E| in [0.5, 1).
+        np.ldexp(band, -np.frexp(abs(values[-1]))[1], out=slot.band)
+        for _ in range(3):
+            slot.x[:] = rng.uniform(-1.0, 1.0, n)
+            slot.hx.fill(0.0)
+            _lapack.dsbmv(*slot.residual_args)
+            oracle = scipy.linalg.blas.dsbmv(b, 1.0, slot.band, slot.x, lower=1)
+            assert np.array_equal(slot.hx, oracle)
+
+
+def _degenerate_runs(monkeypatch):
+    """The rows that _canonical_basis pivots on in `levels --g 0 --omega2 0.5`."""
+    runs, original = [], diag._pivots
+
+    def spy(rows):
+        runs.append(rows.copy())
+        return original(rows)
+
+    monkeypatch.setattr(diag, "_pivots", spy)
+    converged_levels(ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0))
+    monkeypatch.undo()
+    return runs
+
+
+def _rank_deficient_rows():
+    rng = np.random.default_rng(3)
+    for m, rank, n in ((2, 1, 10), (3, 2, 50), (4, 2, 169), (5, 3, 324), (6, 1, 7)):
+        yield rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+def test_ctypes_pivoted_qr_is_bitwise_scipy_qr(monkeypatch):
+    runs = _degenerate_runs(monkeypatch)
+    assert len(runs) > 10
+    for rows in [*runs, *_rank_deficient_rows()]:
+        pivots = scipy.linalg.qr(rows, mode="r", pivoting=True)[1]
+        assert np.array_equal(diag._pivots(rows), pivots)
+
+
+
+def _report_in_child(tmp_path, setup):
+    """converged_levels at the defaults in a fresh process, after running setup there."""
+    probe = (
+        "import pickle, sys\n"
+        f"{setup}\n"
+        "from quartosc import _lapack\n"
+        "from quartosc.diag import converged_levels\n"
+        "from quartosc.model import DEFAULT_PARAMS\n"
+        "report = converged_levels(DEFAULT_PARAMS)\n"
+        "loaded = sys.modules.get('scipy.linalg.cython_lapack')\n"
+        "imported = 'scipy.linalg' in sys.modules and loaded is _lapack._lapack\n"
+        "sys.stdout.buffer.write(pickle.dumps((imported, report)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(diag.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return pickle.loads(proc.stdout)
+
+
+def test_lapack_binding_falls_back_to_importing_scipy_linalg(tmp_path):
+    # Where scipy's extension files are not beside scipy.__file__, the routines
+    # come from the scipy.linalg modules imported by name: the same report.
+    fast_imported, fast = _report_in_child(tmp_path, "")
+    moved = f"import scipy; scipy.__file__ = {str(tmp_path / '__init__.py')!r}"
+    imported, report = _report_in_child(tmp_path, moved)
+    assert not fast_imported and imported
+    assert report == fast
 
 
 def test_factorization_argument_error_raises_value_error(monkeypatch):
     def illegal(*args):
         args[-1]._obj.value = -6  # dgbtrf's info: its sixth argument, ldab, is illegal
 
-    monkeypatch.setattr(diag, "_DGBTRF", illegal)
+    monkeypatch.setattr(_lapack, "dgbtrf", illegal)
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
     with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
         symmetric_eigenvalues(band, True, lowest=10)
