@@ -230,10 +230,14 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     band storage (_factor: dgbtrf, pivots below eps max|E| raised to it),
     then band solves (dgbtrs) from a seeded start vector, each followed by
     Gram-Schmidt against the earlier vectors of its cluster (gaps below
-    1e-3 max|E|), until the residual |Hx - lambda x|, with Hx from BLAS
-    dsbmv, is at the rounding scale ROUNDING_FACTOR eps max|E|.  All three
-    are ctypes calls (quartosc._lapack), which release the GIL, into
-    buffers made once per pass (_LUSlot).  dsbmv gets the arguments
+    1e-3 max|E|; skipped while the cluster has none), until the residual
+    |Hx - lambda x|, with Hx from BLAS dsbmv, is at the rounding scale
+    ROUNDING_FACTOR eps max|E|.  All three are ctypes calls
+    (quartosc._lapack), which release the GIL, into buffers made once per
+    pass (_LUSlot).  The start vectors are one draw of default_rng(0), the
+    same stream as one draw of n per vector, made into the array that
+    returns the vectors: row j is copied into the solve buffer, and its
+    finished vector written back over it.  dsbmv gets the arguments
     scipy.linalg.blas.dsbmv(b, 1.0, band, x, lower=1) passes, so Hx is
     bitwise that function's.  Each run of eigenvalues no more than
     eps max|E| apart then gets a canonical basis of its eigenspace
@@ -254,25 +258,28 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     dropped = np.abs(lower) < floor / n
     kept = np.where(dropped, 0.0, lower) if dropped.any() else lower
-    x, hx = slot.x, slot.hx
-    rng = np.random.default_rng(0)
-    vectors = np.empty((count, n))
+    x, hx, residual = slot.x, slot.hx, slot.residual
+    # Row j starts as vector j's start vector: one draw is the stream of count
+    # draws of n, row by row.  Its finished vector is written back over it.
+    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (count, n))
     first = 0  # the current cluster's first eigenvalue
     for j, shift in enumerate(shifts[:count]):
         if j and shift - shifts[j - 1] > 1e-3 * scale:
             first = j
         _factor(slot, kept, shift, floor)
-        x[:] = rng.uniform(-1.0, 1.0, n)
+        x[:] = vectors[j]
+        cluster = vectors[first:j]
         for solve in range(INVERSE_ITERATIONS):
             _lapack.dgbtrs(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
-            cluster = vectors[first:j]
-            x -= (cluster @ x) @ cluster
+            if first < j:  # an empty cluster would subtract an exact zero vector
+                x -= (cluster @ x) @ cluster
             x /= _norm(x)
             if not solve:
                 continue  # the first solve leaves the factorization's rounding, over the gap
             hx.fill(0.0)  # the zeroed y that scipy.linalg.blas.dsbmv passes with beta 0
             _lapack.dsbmv(*slot.residual_args)  # hx = H x
-            if _norm(hx - shift * x) <= ROUNDING_FACTOR * floor:
+            np.subtract(hx, np.multiply(shift, x, out=residual), out=residual)
+            if _norm(residual) <= ROUNDING_FACTOR * floor:
                 break
         else:
             raise ConvergenceFailure(
@@ -291,16 +298,17 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
 
 
 class _LUSlot:
-    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots, x and hx.
+    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots, three n-vectors.
 
     Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
     0..b-1, which it does not read.  upper views lu so that upper[d, c] is
     lu[2b - d, c + d], the place of H[c, c + d]: the lower band written
     through it fills the upper triangle.  Its entries past column n - 1 land
     in b spare columns after lu's.  band holds the scaled (b + 1, n) lower
-    band, in Fortran order, and the residual's dsbmv writes H x into hx.
-    The LAPACK and BLAS arguments, addresses included, are made once, and
-    serve every vector of the pass.
+    band, in Fortran order.  x is the vector that dgbtrs solves in place,
+    the residual's dsbmv writes H x into hx, and residual takes H x -
+    shift x.  The LAPACK and BLAS arguments, addresses included, are made
+    once, and serve every vector of the pass.
     """
 
     def __init__(self, b: int, n: int) -> None:
@@ -322,6 +330,7 @@ class _LUSlot:
         self.solve_args = (b"N", n_, b_, b_, one, lu, ldab, pivot, x, n_, info)
         self.band = np.empty((b + 1, n), order="F")
         self.hx = np.empty(n)
+        self.residual = np.empty(n)
         self.residual_args = (
             b"L", n_, b_, ctypes.c_double(1.0), self.band.ctypes.data, ctypes.c_int(b + 1),
             x, one, ctypes.c_double(0.0), self.hx.ctypes.data, one,
@@ -332,8 +341,9 @@ def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None
     """Factor H - shift I, H given as its (b + 1, n) lower band, into slot by dgbtrf.
 
     Pivots below floor are raised to it, sign kept, so an exactly singular
-    H - lambda I (dgbtrf's info > 0) still solves.  The LAPACK call
-    releases the GIL.
+    H - lambda I (dgbtrf's info > 0) still solves.  The masked raise runs
+    only when the smallest |pivot| is below floor, which one reduction
+    tests.  The LAPACK call releases the GIL.
     """
     lu = slot.lu
     b = band.shape[0] - 1
@@ -344,8 +354,9 @@ def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None
     if slot.info.value < 0:
         raise ValueError(f"dgbtrf: argument {-slot.info.value} had an illegal value")
     u = lu[2 * b]
-    tiny = np.abs(u) < floor
-    u[tiny] = np.copysign(floor, u[tiny])
+    if np.abs(u).min() < floor:  # rare: the masked floor costs more than this test
+        tiny = np.abs(u) < floor
+        u[tiny] = np.copysign(floor, u[tiny])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -458,18 +469,26 @@ def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
 
     Returns (j, i, weight) per level j, in claim order: the level claimed
     basis state i, whose squared component in vectors[:, j] is weight.
+    Every level's maximum and its argmax are taken once, and the levels
+    go in order of those maxima.  A level whose maximum is unique, and
+    whose state is still unclaimed, takes that state without a sort: a
+    unique maximum is the last entry of any argsort of the row.  Any
+    other level walks its argsort, largest first, so the claims are
+    those of that walk for every level.
     """
     weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
-    order = sorted(range(count), key=lambda j: float(weights[j].max()), reverse=True)
+    peaks = weights.max(axis=1)
+    best = weights.argmax(axis=1).tolist()
+    unique = (np.count_nonzero(weights == peaks[:, None], axis=1) == 1).tolist()
+    order = sorted(range(count), key=peaks.tolist().__getitem__, reverse=True)
     claimed: set[int] = set()
     claims = []
     for j in order:
-        for i in np.argsort(weights[j])[::-1]:
-            i = int(i)
-            if i not in claimed:
-                claimed.add(i)
-                claims.append((j, i, float(weights[j, i])))
-                break
+        i = best[j]
+        if not unique[j] or i in claimed:
+            i = next(s for s in np.argsort(weights[j])[::-1].tolist() if s not in claimed)
+        claimed.add(i)
+        claims.append((j, i, float(weights[j, i])))
     return claims
 
 

@@ -338,6 +338,19 @@ def test_reported_digits_hold_against_the_largest_basis(params, k, digits):
     assert np.all(np.abs(energies - truth) < threshold)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the stopping rule's threshold "
+                   "0.5 * 10^-digits * max(1, |E|) is absolute, so at hbar=1e-8 it passes "
+                   "the first comparison: final_n_max 19, where the defaults need 34")
+def test_reported_digits_hold_at_tiny_hbar():
+    # With g * hbar fixed the spectrum is hbar times the default one, so the
+    # 8-digit claim at hbar=1e-8 is one on the default levels' relative digits.
+    hbar = 1e-8
+    tiny = converged_levels(ModelParams(omega1=1.0, omega2=SQRT2, g=1e7, hbar=hbar))
+    energies = np.array([lvl.energy for lvl in tiny.levels]) / hbar
+    truth = np.array([lvl.energy for lvl in converged_levels(PARAMS).levels])
+    assert np.all(np.abs(energies - truth) < 1e-8 * truth)
+
+
 # --- strict as-printed comparisons for the documented defective cells ---
 # These are expected to fail: the cells disagree with the reference
 # tabulation's own cross-checks.  Kept as strict xfails so the

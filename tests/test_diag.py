@@ -96,17 +96,8 @@ def _assign_global(spectra, k):
     entries.sort(key=lambda e: e[0])
     entries = entries[:k]
 
-    order = sorted(range(len(entries)), key=lambda i: float(entries[i][1].max()), reverse=True)
-    claimed = set()
-    assigned = {}
-    for i in order:
-        _, weights, states = entries[i]
-        for idx in np.argsort(weights)[::-1]:
-            state = states[int(idx)]
-            if state not in claimed:
-                claimed.add(state)
-                assigned[i] = (state, float(weights[int(idx)]))
-                break
+    claims = _argsort_claims([e[1] for e in entries], [e[2] for e in entries])
+    assigned = {i: (entries[i][2][idx], weight) for i, idx, weight in claims}
     return tuple(
         SpectrumLevel(
             rank=rank,
@@ -117,6 +108,27 @@ def _assign_global(spectra, k):
         )
         for rank, (energy, _, _) in enumerate(entries, start=1)
     )
+
+
+def _argsort_claims(weights, states):
+    """The greedy claim loop, walking each level's full argsort.
+
+    Level i, with squared components weights[i] over states[i], claims its
+    heaviest unclaimed state; levels go largest maximum first, ties in
+    level order.  Returns (i, index, weight) per level, in claim order: the
+    oracle for diag._claim.
+    """
+    order = sorted(range(len(weights)), key=lambda i: float(weights[i].max()), reverse=True)
+    claimed = set()
+    claims = []
+    for i in order:
+        for idx in np.argsort(weights[i])[::-1]:
+            state = states[i][int(idx)]
+            if state not in claimed:
+                claimed.add(state)
+                claims.append((i, int(idx), float(weights[i][int(idx)])))
+                break
+    return claims
 
 
 def _merged(params, n_max):
@@ -402,6 +414,16 @@ def test_vector_solve_is_bitwise_repeatable():
     assert np.array_equal(np.random.get_state()[1], state[1])  # global generator untouched
 
 
+@pytest.mark.parametrize("m, n", [(1, 5), (100, 324), (37, 1225)])
+def test_batched_start_vectors_are_the_stream_of_single_draws(m, n):
+    # The vector pass draws its m start vectors in one call; a numpy whose
+    # batched draw left the stream of m single draws would move every vector.
+    rng = np.random.default_rng(0)
+    singles = np.stack([rng.uniform(-1.0, 1.0, n) for _ in range(m)])
+    batched = np.random.default_rng(0).uniform(-1.0, 1.0, (m, n))
+    assert batched.tobytes() == singles.tobytes()
+
+
 def test_close_eigenvalues_get_orthogonal_vectors():
     # Eigenvalues 8 eps max|E| apart: each solve mixes in the other's vector 1:8.
     band = np.array([[1.0, 1.0 + 2.0**-48, 2.0], [0.0, 0.0, 0.0]])
@@ -536,6 +558,26 @@ def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
             slot.x[:] = rhs
             _lapack.dgbtrs(*slot.solve_args)
             assert np.array_equal(slot.x, x)
+
+
+def test_exactly_singular_shift_gets_its_zero_pivot_raised_to_the_floor():
+    # At g=0 the band is diagonal, so shifting it by a diagonal entry leaves an
+    # exact zero pivot (dgbtrf's info > 0); _factor raises it to the floor, as
+    # the f2py oracle does.
+    params = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], params)
+    b, n = band.shape[0] - 1, band.shape[1]
+    floor = np.finfo(float).eps * band[0].max()
+    used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
+    slot = diag._LUSlot(b, n)
+    for c in (0, 5, n - 1):
+        diag._factor(slot, band, band[0, c], floor)
+        assert slot.info.value == c + 1  # dgbtrf met U[c, c] = 0
+        lu, pivot = _f2py_factor(band, band[0, c], floor)
+        assert np.array_equal(slot.pivot - 1, pivot)
+        assert np.array_equal(slot.lu[used], lu[used])
+        u = slot.lu[2 * b]
+        assert abs(u[c]) == floor and np.abs(np.delete(u, c)).min() > floor
 
 
 @pytest.mark.parametrize("n_max", [34, 69])
@@ -891,6 +933,49 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     assert all(labelled)
     full = [(*symmetric_eigenvalues(h, True, values=w), block) for w, h, block in spectra]
     assert report.levels == _assign_global(full, k)
+
+
+def _g0_vectors(omega2):
+    """The lowest 40 vectors of an uncoupled block: unit vectors."""
+    params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
+    band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], params)
+    return symmetric_eigenvalues(band, True, lowest=40)[1]
+
+
+def _orthonormal(n, m):
+    return np.linalg.qr(np.random.default_rng(n).standard_normal((n, m)))[0]
+
+
+#: Vector sets, one vector per column, that exercise each branch of diag._claim.
+_CLAIM_CASES = {
+    # Exact ties for a row's maximum: two-way, three-way, and a Hadamard set
+    # whose every squared component is 0.25.
+    "ties": lambda: np.array([[0.6, 0.6, 0.1], [-0.6, 0.6, 0.2], [0.2, 0.6, 0.9], [0.1, 0.1, 0.3]]),
+    "hadamard": lambda: scipy.linalg.hadamard(4) / 2.0,
+    # Each column's largest component is on state 0, which the first claims.
+    "claimed": lambda: np.array([[0.9, 0.8, 0.7], [0.3, 0.5, 0.1], [0.1, 0.2, 0.6], [0.3, 0, 0.3]]),
+    # g=0 unit vectors, with degenerate runs (omega2 = 0.5) and without.
+    "g0_degenerate": lambda: _g0_vectors(0.5),
+    "g0": lambda: _g0_vectors(SQRT2),
+    "orthonormal_3": lambda: _orthonormal(3, 3),
+    "orthonormal_10": lambda: _orthonormal(10, 10),
+    "orthonormal_50x20": lambda: _orthonormal(50, 20),
+    "orthonormal_324x100": lambda: _orthonormal(324, 100),
+    "reference_block": lambda: symmetric_eigenvalues(
+        assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS), True, lowest=40
+    )[1],
+}
+
+
+@pytest.mark.parametrize("case", _CLAIM_CASES)
+def test_claim_is_the_argsort_walk(case):
+    # _claim takes a unique unclaimed maximum without a sort; every claim must
+    # still be the one that walking each level's full argsort makes.
+    vectors = _CLAIM_CASES[case]()
+    for count in sorted({vectors.shape[1], (vectors.shape[1] + 1) // 2}):
+        weights = list((vectors[:, :count] ** 2).T)
+        states = [range(len(vectors))] * count
+        assert diag._claim(vectors, count) == _argsort_claims(weights, states)
 
 
 def test_assignment_leaves_its_input_unchanged():
