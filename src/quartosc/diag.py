@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .model import ModelError, ModelParams, QuantumNumbers
-from .quantum import coupling_quarter, ladder_factor
+from .model import ModelError, ModelParams, QuantumNumbers, range_exponent
+from .quantum import ladder_factor
 
 #: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
 SCHEDULE_START = 14
@@ -118,23 +118,26 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     2 // step states, so b = o1 m2 + o2: m2 + 1 for a parity block,
     2 m2 + 2 for the square cut.  Entries are computed in the product order of
     oracles.v_matrix_element and quantum.e0_quantum, so each is bitwise
-    theirs; the couplings scale back last from quantum.coupling_quarter's
-    hbar^2 / 4.  Raises MatrixOverflow if an entry is not finite.
+    theirs; couplings are formed at model.range_exponent's (g 2^-s, hbar 2^s)
+    and scaled back last.  Raises MatrixOverflow if an entry is not finite.
     """
     x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
     m1, m2 = len(basis.modes1), len(basis.modes2)
     g, hbar = params.g, params.hbar
     b = max(x1) * m2 + max(x2)
     band = np.zeros((b + 1, m1, m2))
-    quarter, s = coupling_quarter(hbar)  # hbar^2 / 4 = quarter 2^(-2 s), s = 0 unless subnormal
+    s = range_exponent(g, hbar)
+    h = math.ldexp(hbar, s)  # in [0.5, 1) unless s is 0
+    quarter = 0.25 * h * h
     with np.errstate(over="ignore", invalid="ignore"):
+        coupling = np.ldexp(g, -s)  # may overflow: the check below reports it
         for (d, x1d), (e, x2e) in itertools.product(x1.items(), x2.items()):
             if (d, e) >= (0, 0):  # on or below the diagonal
                 # Row d * m2 + e at column (j, k) holds H[(j + d, k + e), (j, k)].
                 k = slice(max(0, -e), min(m2, m2 - e))
-                band[d * m2 + e, : m1 - d, k] = g * np.multiply.outer(quarter * x1d, x2e)
+                band[d * m2 + e, : m1 - d, k] = coupling * np.multiply.outer(quarter * x1d, x2e)
         if s:
-            band = np.ldexp(band, -2 * s)
+            band = np.ldexp(band, -s)
         band = band.reshape(b + 1, m1 * m2)
         n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
         band[0] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
@@ -257,7 +260,7 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     dropped = np.abs(lower) < floor / n
-    kept = np.where(dropped, 0.0, lower) if dropped.any() else lower
+    kept = np.where(dropped, 0.0, lower)
     x, hx, residual = slot.x, slot.hx, slot.residual
     # Row j starts as vector j's start vector: one draw is the stream of count
     # draws of n, row by row.  Its finished vector is written back over it.

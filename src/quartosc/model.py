@@ -9,6 +9,7 @@ limit can be probed by shrinking it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Minimum allowed |omega1 - omega2|.  Second-order terms carry a
@@ -73,6 +74,24 @@ def validate(params: ModelParams) -> ModelParams:
     the benchmark trace counts its calls.
     """
     return params
+
+
+def range_exponent(g: float, hbar: float) -> int:
+    """The power of two s at which the model is evaluated: g 2^-s and hbar 2^s.
+
+    The model is homogeneous: at (g 2^-s, hbar 2^s) every energy, every
+    matrix element and every term of both perturbation series is 2^s times
+    its value at (g, hbar).  Scaling by a power of two is exact, so a
+    result formed there and scaled back by 2^-s keeps full precision where
+    g g, hbar^2 / 4 or hbar^3 / 32 at the true values would leave the
+    normal range.  s is 0 while g g is finite and hbar^3 / 32 is a finite
+    normal double; otherwise hbar 2^s lies in [0.5, 1).  The products use
+    *, as float ** raises on overflow.
+    """
+    cube = hbar * hbar * hbar / 32.0
+    if math.isfinite(g * g) and sys.float_info.min <= cube < math.inf:
+        return 0
+    return -math.frexp(hbar)[1]
 
 
 @dataclass(frozen=True)

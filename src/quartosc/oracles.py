@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .classical import ActionPair, h1_actions
-from .model import ModelParams, QuantumNumbers
-from .quantum import coupling_quarter, ladder_factor
+from .model import ModelParams, QuantumNumbers, range_exponent
+from .quantum import ladder_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,15 +148,17 @@ def v_matrix_element(
 ) -> float:
     """<bra|g V|ket> = g * (hbar^2/4) * factor(n1', n1) * factor(n2', n2).
 
-    hbar^2/4 comes from quantum.coupling_quarter and the product is scaled
-    back last, as diag.assemble_hamiltonian forms its couplings.
+    As diag.assemble_hamiltonian forms its couplings: at model.range_exponent's
+    g 2^-s and hbar 2^s, scaled back by 2^-s last.
     """
     d1, d2 = bra.n1 - ket.n1, bra.n2 - ket.n2
     if (d1, d2) not in STENCIL:
         return 0.0
-    quarter, s = coupling_quarter(hbar)
-    element = float(quarter * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
-    return math.ldexp(g * element, -2 * s)
+    s = range_exponent(g, hbar)
+    h = math.ldexp(hbar, s)
+    element = float(0.25 * h * h * ladder_factor(ket.n1, d1) * ladder_factor(ket.n2, d2))
+    with np.errstate(over="ignore"):  # an overflowing element is inf, as in the kernel
+        return float(np.ldexp(np.ldexp(g, -s) * element, -s))
 
 
 def e2_quantum_sum(n: QuantumNumbers, params: ModelParams) -> float:

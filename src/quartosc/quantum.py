@@ -13,7 +13,6 @@ plus an hbar^2 quantum correction that is linear in the quantum numbers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +28,6 @@ def ladder_factor(n: int | np.ndarray, step: int):
     if step == 2:
         return np.sqrt((n + 1) * (n + 2))
     return 2.0 * n + 1.0
-
-
-def coupling_quarter(hbar: float) -> tuple[float, int]:
-    """(q, s) with hbar^2 / 4 = q 2^(-2 s) and q normal: the coupling's hbar factor.
-
-    s is 0 and q is 0.25 * hbar * hbar, bitwise, unless that product is
-    subnormal (hbar below about 1.5e-154).  Then q is formed from hbar 2^s,
-    so a coupling g q factor1 factor2 keeps full precision until it is
-    scaled back by 2^(-2 s).
-    """
-    s = -499 - math.frexp(hbar)[1] if 0.25 * hbar * hbar < sys.float_info.min else 0
-    h = math.ldexp(hbar, s)
-    return 0.25 * h * h, s
 
 
 def e0_quantum(n: QuantumNumbers, params: ModelParams) -> float:

@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .classical import semiclassical_series
 from .diag import ConvergenceReport, SpectrumLevel, converged_levels
-from .model import ModelParams, QuantumNumbers
+from .model import ModelError, ModelParams, QuantumNumbers, range_exponent
 from .quantum import qp_series
 
 #: Number of exact levels entering the mean-spacing normalization.
 SPACING_COUNT = 100
 
 
-class InsufficientLevels(ValueError):
-    """Fewer levels available than the spacing computation needs."""
+class InsufficientLevels(ModelError):
+    """Fewer levels available than the spacing computation needs, or no spread among them."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,10 @@ def mean_level_spacing(energies: Sequence[float], count: int) -> MeanSpacing:
         raise InsufficientLevels(
             f"need at least {count} levels, got {len(energies)}"
         )
-    return MeanSpacing(d=(energies[count - 1] - energies[0]) / count, count=count)
+    d = (energies[count - 1] - energies[0]) / count
+    if not d > 0.0:
+        raise InsufficientLevels(f"the lowest {count} levels have mean spacing {d}, not > 0")
+    return MeanSpacing(d=d, count=count)
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def comparison_table(
     report = converged_levels(params, k=k, digits=digits)
     energies = [lvl.energy for lvl in report.levels]
     spacing = mean_level_spacing(energies, SPACING_COUNT)
-    s = _series_scale(params)
+    s = range_exponent(params.g, params.hbar)
     scaled = replace(params, g=math.ldexp(params.g, -s), hbar=math.ldexp(params.hbar, s))
     rows = []
     for lvl in report.levels[:n_rows]:
@@ -99,21 +101,6 @@ def comparison_table(
             )
         )
     return ComparisonTable(rows=tuple(rows), spacing=spacing, report=report)
-
-
-def _series_scale(params: ModelParams) -> int:
-    """s such that both series at hbar 2^s and g 2^-s, times 2^-s, keep full precision.
-
-    Every term of both series is hbar (g hbar)^k times a function of n and
-    the frequencies, so the rescaled evaluation is exact.  As in
-    quantum.coupling_quarter, s is 0, which leaves each sum bitwise
-    unscaled, unless g g is not finite or hbar^3 / 32 is below the smallest
-    normal double; then hbar 2^s lies in [0.5, 1).
-    """
-    g, hbar = params.g, params.hbar
-    if math.isfinite(g * g) and hbar**3 / 32.0 >= sys.float_info.min:
-        return 0
-    return -math.frexp(hbar)[1]
 
 
 def hbar_scan(

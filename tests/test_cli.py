@@ -147,7 +147,7 @@ def test_valid_input_at_the_edges_of_double_precision_answers_or_exits_cleanly(c
     # Tiny g makes the couplings subnormal; tiny hbar shrinks every entry toward
     # the underflow range.  Either once broke the eigenvector pass.
     for g in ("0", "5e-324", "1e-308", "1e-200", "1e-8", "0.1", "10"):
-        for hbar in ("1e-170", "1e-155", "1e-8", "0.1", "1"):
+        for hbar in ("1e-170", "1e-155", "1e-8", "0.1", "1", "1e200"):
             for omega2 in ("0.3", "sqrt2", "3"):
                 argv = ("levels", "--k", "5", "--g", g, "--hbar", hbar, "--omega2", omega2)
                 with warnings.catch_warnings(record=True) as caught:
@@ -191,8 +191,14 @@ def test_compare_default_rows(capsys):
 
 @pytest.mark.parametrize(
     ("g", "hbar", "exponent"),
-    [("1e159", "1e-160", "e-160"), ("1e154", "1e-155", "e-155")],
-    ids=["g_squared_overflows", "hbar_cubed_underflows"],
+    [
+        ("1e159", "1e-160", "e-160"),
+        ("1e154", "1e-155", "e-155"),
+        ("1e-151", "1e150", "e+150"),
+        ("1e-201", "1e200", "e+200"),
+    ],
+    ids=["g_squared_overflows", "hbar_cubed_underflows", "hbar_cubed_overflows",
+         "quarter_hbar_squared_overflows"],
 )
 def test_series_columns_at_tiny_hbar_and_huge_g(capsys, g, hbar, exponent):
     # g hbar = 0.1, and every series term is hbar (g hbar)^k f(n, omega): the
@@ -203,7 +209,7 @@ def test_series_columns_at_tiny_hbar_and_huge_g(capsys, g, hbar, exponent):
     assert out.splitlines()[1].startswith(f"0,0,{exact},{sc},{qp},")
     code, out, _ = run(capsys, "scan-hbar", "--g", g, "--hbars", hbar, "--rows", "3")
     assert code == 0 and "nan" not in out
-    assert out.splitlines()[1].startswith(f"{hbar},1,0,0,{exact},{sc},")
+    assert out.splitlines()[1].startswith(f"{float(hbar):g},1,0,0,{exact},{sc},")
 
 
 def test_compare_output_deterministic(capsys, tmp_path):
@@ -267,6 +273,9 @@ def test_scan_hbar_rejects_negative(capsys):
         ["levels", "--k", "3", "--hbar", "1e200"],
         ["levels", "--config", b"omgea1=3\n"],
         ["scan-hbar", "--config", b"k=5\n"],
+        # The lowest 100 levels underflow to one value: their mean spacing is 0.
+        ["compare", "--hbar", "5e-324"],
+        ["scan-hbar", "--hbars", "5e-324"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):

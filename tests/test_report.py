@@ -33,6 +33,8 @@ def test_mean_spacing_requires_enough_levels():
         mean_level_spacing([1.0, 2.0], 3)
     with pytest.raises(InsufficientLevels):
         mean_level_spacing([1.0, 2.0], 1)
+    with pytest.raises(InsufficientLevels):  # no spread: every error quotient would divide by 0
+        mean_level_spacing([5e-324, 5e-324], 2)
 
 
 def test_reference_mean_spacing(default_table):
