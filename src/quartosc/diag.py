@@ -119,7 +119,8 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     2 m2 + 2 for the square cut.  Entries are computed in the product order of
     oracles.v_matrix_element and quantum.e0_quantum, so each is bitwise
     theirs; couplings are formed at model.range_exponent's (g 2^-s, hbar 2^s)
-    and scaled back last.  Raises MatrixOverflow if an entry is not finite.
+    and scaled back last.  Raises MatrixOverflow if an entry is not finite,
+    naming the frequency term when a diagonal one is.
     """
     x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
     m1, m2 = len(basis.modes1), len(basis.modes2)
@@ -140,10 +141,14 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
             band = np.ldexp(band, -s)
         band = band.reshape(b + 1, m1 * m2)
         n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
-        band[0] += hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
+        diagonal = hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
+        band[0] += diagonal
     # Every entry is >= 0 or nan, and max propagates nan: one finite max clears them all.
     if not np.isfinite(band.max(initial=0.0)):
-        raise MatrixOverflow(f"the Hamiltonian overflows double precision at g={g}, hbar={hbar}")
+        cause = f"g={g}, hbar={hbar}"
+        if not np.isfinite(diagonal.max(initial=0.0)):
+            cause = f"omega1={params.omega1}, omega2={params.omega2}, hbar={hbar} (frequency term)"
+        raise MatrixOverflow(f"the Hamiltonian overflows double precision at {cause}")
     return band
 
 
@@ -192,34 +197,19 @@ def _band_values(band: np.ndarray) -> np.ndarray:
     return w
 
 
-def symmetric_eigenvalues(
-    matrix: np.ndarray,
-    want_vectors: bool = False,
-    lowest: int = 0,
-    values: np.ndarray | None = None,
-):
-    """Ascending eigenvalues of a real symmetric matrix given as its lower band.
+def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix given as its lower band, ascending.
 
     matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  The
-    values come from LAPACK's band solver (_band_values: dsbevd, whose
-    dsbtrd reduction is O(n^2 b)), unless values already holds all of
-    them, ascending, from an earlier call on the same band.  A positive
-    lowest keeps that many lowest.  For want_vectors the vectors come from
-    inverse iteration on the band, shifted by those values
-    (_band_eigenvectors), and return orthonormal, one per column.  Both
-    are deterministic for a fixed input.  converged_levels calls the
-    kernels on its pool instead: _band_values for each step's blocks, then
-    _band_eigenvectors in each accepted block's job.
+    values are _band_values' (LAPACK dsbevd, whose dsbtrd reduction is
+    O(n^2 b)), deterministic for a fixed input.  converged_levels calls
+    the kernels on its pool instead: _band_values for each step's blocks,
+    then _band_eigenvectors in each accepted block's job.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
         raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
-    if values is None:
-        values = _band_values(band)
-    count = min(lowest, len(values)) if lowest > 0 else len(values)
-    if not want_vectors:
-        return values[:count]
-    return values[:count], _band_eigenvectors(band, values, count)
+    return _band_values(band)
 
 
 def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -411,14 +401,18 @@ class SpectrumLevel:
     """One converged level with its assigned label.
 
     overlap_weight is the squared eigenvector component on the assigned
-    basis state; ambiguous marks an overlap_weight below AMBIGUOUS_WEIGHT.
+    basis state.
     """
 
     rank: int
     energy: float
     assigned: QuantumNumbers
     overlap_weight: float
-    ambiguous: bool = False
+
+    @property
+    def ambiguous(self) -> bool:
+        """The assigned basis state carries less than AMBIGUOUS_WEIGHT of the level."""
+        return self.overlap_weight < AMBIGUOUS_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -459,12 +453,12 @@ def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[Sp
     state, so the labels have no duplicates.  Parity blocks share no basis
     state, so claims never meet across blocks, and the labels of all
     blocks together are those of one such loop over all ranked levels.  A
-    level is flagged ambiguous when the weight of the state it ends up
-    with is below AMBIGUOUS_WEIGHT.  The input arrays are not modified.
-    The loop is _claim; converged_levels runs it in each block's job.
+    level is ambiguous when the weight of the state it ends up with is
+    below AMBIGUOUS_WEIGHT.  The levels come in claim order, and the input
+    arrays are not modified.  The loop is _claim; converged_levels runs it
+    in each block's job.
     """
-    levels = _levels(_claim(vectors, len(ranks)), values, block, ranks)
-    return tuple(sorted(levels, key=lambda lvl: lvl.rank))
+    return tuple(_levels(_claim(vectors, len(ranks)), values, block, ranks))
 
 
 def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
@@ -504,7 +498,6 @@ def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
             energy=float(values[j]),
             assigned=QuantumNumbers(*states[i]),
             overlap_weight=weight,
-            ambiguous=weight < AMBIGUOUS_WEIGHT,
         )
         for j, i, weight in claims
     ]
@@ -535,9 +528,10 @@ def converged_levels(
 
     n_max walks range(SCHEDULE_START, N_MAX_CAP + 1, SCHEDULE_STEP) from the
     first basis holding k levels.  The stopping rule compares consecutive
-    steps level by level against the mixed threshold 0.5 * 10^-digits *
-    max(1, |E|).  Each step ranks its k lowest levels once, by a stable
-    sort of all blocks' eigenvalues, so equal energies keep block order.
+    steps level by level against the relative threshold 0.5 * 10^-digits *
+    |E| (every level is positive).  Each step ranks its k lowest levels
+    once, by a stable sort of all blocks' eigenvalues, so equal energies
+    keep block order.
     The accepted step then maps _label_block over the blocks that hold a
     ranked level, on the same pool: each job solves its block's vectors on
     the retained band and returns the block's claims, and the calling
@@ -545,7 +539,8 @@ def converged_levels(
     call returns or raises.  Raises BudgetExceeded when no scheduled basis
     holds k levels or the schedule ends unconverged, and UnresolvableDigits
     at the first step where the smallest threshold is no larger than
-    ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale.
+    ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale, or
+    the lowest level is subnormal.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -569,13 +564,17 @@ def converged_levels(
             merged = np.concatenate([w for w, _, _ in spectra])
             lowest = np.argsort(merged, kind="stable")[:k]
             values = merged[lowest]
-            threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(values))
+            threshold = 0.5 * 10.0 ** (-digits) * np.abs(values)
             resolution = ROUNDING_FACTOR * np.finfo(float).eps * float(np.abs(merged).max())
             if float(threshold.min()) <= resolution:
-                raise UnresolvableDigits(
-                    f"{digits} digits is beyond double precision at n_max={n_max}: threshold "
-                    f"{threshold.min():.1e} <= rounding scale "
+                cause = (
+                    f"threshold {threshold.min():.1e} <= rounding scale "
                     f"{ROUNDING_FACTOR:g}*eps*max|E| = {resolution:.1e}"
+                )
+                if values[0] < np.finfo(float).tiny:
+                    cause = f"the energies are subnormal (lowest {values[0]:.3e})"
+                raise UnresolvableDigits(
+                    f"{digits} digits is beyond double precision at n_max={n_max}: {cause}"
                 )
             if previous is not None:
                 delta = np.abs(values - previous)

@@ -58,7 +58,7 @@ class ModelParams:
             raise NegativeCoupling(f"coupling g must be >= 0, got {self.g}")
         if abs(self.omega1 - self.omega2) < RESONANCE_TOLERANCE:
             raise ResonantFrequencies(
-                f"|omega1 - omega2| = {abs(self.omega1 - self.omega2):.3e} "
+                f"|omega1 - omega2| = {abs(self.omega1 - self.omega2)!r} "
                 f"< {RESONANCE_TOLERANCE:.0e}; the perturbative denominators diverge"
             )
 

@@ -18,6 +18,7 @@ import pytest
 from quartosc.classical import ActionPair, h1_actions, h2_actions, semiclassical_series
 from quartosc.diag import (
     N_MAX_CAP,
+    _band_eigenvectors,
     _block_spectra,
     assemble_hamiltonian,
     build_basis,
@@ -35,6 +36,7 @@ from quartosc.oracles import (
     s1_angle_gradient,
 )
 from quartosc.quantum import decompose_e2, e0_quantum, e2_quantum_closed, qp_series
+from quartosc.report import comparison_table
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
@@ -288,7 +290,8 @@ def test_criterion_9_property_suite(default_table):
 
     # eigenvector orthonormality
     h = assemble_hamiltonian(build_basis(8), PARAMS)
-    _, v = symmetric_eigenvalues(h, want_vectors=True)
+    values = symmetric_eigenvalues(h)
+    v = _band_eigenvectors(h, values, len(values))
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-10
 
     # exchange symmetry of both perturbative pipelines
@@ -316,6 +319,17 @@ def test_exact_minus_second_order_is_third_order_in_g():
     assert np.all((7.0 < coarse / fine) & (coarse / fine < 9.0))
 
 
+def test_exact_minus_second_order_is_third_order_in_hbar():
+    # The paper's semiclassical limit: E_exact - E_qp = O(g^3 hbar^4) and the mean
+    # spacing D = O(hbar), so at fixed g halving hbar divides err_qp_over_D by about 8.
+    params = [ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=h) for h in (0.05, 0.025, 0.0125)]
+    tables = [comparison_table(p, n_rows=10, digits=10) for p in params]
+    assert len({tuple(row.n for row in table.rows) for table in tables}) == 1
+    errors = np.array([[row.err_qp for row in table.rows] for table in tables])
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((7.0 <= ratios) & (ratios <= 9.0))
+
+
 @pytest.mark.parametrize(
     "params, k, digits",
     [
@@ -334,18 +348,16 @@ def test_reported_digits_hold_against_the_largest_basis(params, k, digits):
     bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(N_MAX_CAP))]
     truth = np.sort(np.concatenate([symmetric_eigenvalues(band) for band in bands]))[:k]
     energies = np.array([lvl.energy for lvl in report.levels])
-    threshold = 0.5 * 10.0 ** (-digits) * np.maximum(1.0, np.abs(energies))
+    threshold = 0.5 * 10.0 ** (-digits) * np.abs(energies)
     assert np.all(np.abs(energies - truth) < threshold)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the stopping rule's threshold "
-                   "0.5 * 10^-digits * max(1, |E|) is absolute, so at hbar=1e-8 it passes "
-                   "the first comparison: final_n_max 19, where the defaults need 34")
 def test_reported_digits_hold_at_tiny_hbar():
     # With g * hbar fixed the spectrum is hbar times the default one, so the
     # 8-digit claim at hbar=1e-8 is one on the default levels' relative digits.
     hbar = 1e-8
     tiny = converged_levels(ModelParams(omega1=1.0, omega2=SQRT2, g=1e7, hbar=hbar))
+    assert tiny.final_n_max == 34
     energies = np.array([lvl.energy for lvl in tiny.levels]) / hbar
     truth = np.array([lvl.energy for lvl in converged_levels(PARAMS).levels])
     assert np.all(np.abs(energies - truth) < 1e-8 * truth)

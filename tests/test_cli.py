@@ -276,6 +276,10 @@ def test_scan_hbar_rejects_negative(capsys):
         # The lowest 100 levels underflow to one value: their mean spacing is 0.
         ["compare", "--hbar", "5e-324"],
         ["scan-hbar", "--hbars", "5e-324"],
+        # Relative thresholds: 12 digits of levels near 0.1, or of subnormal levels.
+        ["levels", "--hbar", "0.1", "--digits", "12"],
+        ["levels", "--hbar", "1e-320"],
+        ["scan-hbar", "--hbars", "1e-320"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):
@@ -288,6 +292,31 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (
+            ["levels", "--omega2", "1.000001"],
+            "|omega1 - omega2| = 9.999999999177334e-07 < 1e-06; "
+            "the perturbative denominators diverge",
+        ),
+        (
+            ["levels", "--omega1", "1e308", "--omega2", "1e-308"],
+            "the Hamiltonian overflows double precision at omega1=1e+308, omega2=1e-308, "
+            "hbar=1.0 (frequency term)",
+        ),
+        (
+            ["levels", "--hbar", "1e-320"],
+            "8 digits is beyond double precision at n_max=14: the energies are subnormal "
+            "(lowest 1.207e-320)",
+        ),
+    ],
+    ids=["resonance", "frequency_overflow", "subnormal_energies"],
+)
+def test_error_message_names_its_cause(capsys, argv, cause):
+    assert run(capsys, *argv) == (2, "", f"error: {cause}\n")
 
 
 @pytest.mark.parametrize(

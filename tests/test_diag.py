@@ -104,7 +104,6 @@ def _assign_global(spectra, k):
             energy=energy,
             assigned=QuantumNumbers(*assigned[rank - 1][0]),
             overlap_weight=assigned[rank - 1][1],
-            ambiguous=assigned[rank - 1][1] < diag.AMBIGUOUS_WEIGHT,
         )
         for rank, (energy, _, _) in enumerate(entries, start=1)
     )
@@ -136,6 +135,12 @@ def _merged(params, n_max):
     with ThreadPoolExecutor() as pool:
         spectra = _block_spectra(params, n_max, pool)
     return np.sort(np.concatenate([w for w, _, _ in spectra]))
+
+
+def _eigenpairs(band, count):
+    """The count lowest eigenvalues of a lower band and their vectors, by the pipeline's kernels."""
+    values = diag._band_values(band)
+    return values[:count], diag._band_eigenvectors(band, values, count)
 
 
 def _assign_per_block(spectra, k):
@@ -297,8 +302,6 @@ def test_eigenvalues_of_diagonal_matrix():
 def test_eigenvalues_reject_malformed_band(band):
     with pytest.raises(ValueError):
         symmetric_eigenvalues(band)
-    with pytest.raises(ValueError):
-        symmetric_eigenvalues(band, want_vectors=True)
 
 
 def _rayleigh_oracle(band):
@@ -341,7 +344,7 @@ def test_band_eigenvalues_within_the_rounding_scale(n_max, params):
 
 def test_eigenvector_residual_and_orthonormality():
     band = assemble_hamiltonian(build_basis(6), PARAMS)
-    w, v = symmetric_eigenvalues(band, want_vectors=True)
+    w, v = _eigenpairs(band, band.shape[1])
     h = _dense(band)
     scale = np.linalg.norm(h)
     for j in range(len(w)):
@@ -365,7 +368,7 @@ def test_inverse_iteration_matches_dense_eigh(params, n_max):
         band = assemble_hamiltonian(block, params)
         values = symmetric_eigenvalues(band)
         count = min(len(values) // 3, 125)
-        w, v = symmetric_eigenvalues(band, True, lowest=count, values=values)
+        w, v = values[:count], diag._band_eigenvectors(band, values, count)
         h = _dense(band)
         _, oracle = scipy.linalg.eigh(h, subset_by_index=(0, count - 1))
         np.testing.assert_allclose(v**2, oracle**2, rtol=0, atol=1e-9)
@@ -392,7 +395,7 @@ def test_inverse_iteration_at_the_edges_of_double_precision_matches_dense_eigh(g
         band = assemble_hamiltonian(block, params)
         values = symmetric_eigenvalues(band)
         count = len(values) // 3
-        w, v = symmetric_eigenvalues(band, True, lowest=count, values=values)
+        w, v = values[:count], diag._band_eigenvectors(band, values, count)
         top = np.abs(values).max()
         h = _dense(band) / top  # the residual's squares would leave the exponent range
         _, oracle = scipy.linalg.eigh(h, subset_by_index=(0, count - 1))
@@ -405,12 +408,12 @@ def test_inverse_iteration_at_the_edges_of_double_precision_matches_dense_eigh(g
 def test_vector_solve_is_bitwise_repeatable():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[1], PARAMS)
     state = np.random.get_state()
-    w1, v1 = symmetric_eigenvalues(band, True, lowest=40)
+    w1, v1 = _eigenpairs(band, 40)
     np.random.random(3)
-    w2, v2 = symmetric_eigenvalues(band, True, lowest=40)
+    w2, v2 = _eigenpairs(band, 40)
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
     np.random.set_state(state)
-    symmetric_eigenvalues(band, True, lowest=40)
+    _eigenpairs(band, 40)
     assert np.array_equal(np.random.get_state()[1], state[1])  # global generator untouched
 
 
@@ -427,7 +430,7 @@ def test_batched_start_vectors_are_the_stream_of_single_draws(m, n):
 def test_close_eigenvalues_get_orthogonal_vectors():
     # Eigenvalues 8 eps max|E| apart: each solve mixes in the other's vector 1:8.
     band = np.array([[1.0, 1.0 + 2.0**-48, 2.0], [0.0, 0.0, 0.0]])
-    _, v = symmetric_eigenvalues(band, True)
+    _, v = _eigenpairs(band, 3)
     assert np.abs(v.T @ v - np.eye(3)).max() < 1e-15
 
 
@@ -436,14 +439,14 @@ def test_inverse_iteration_off_an_eigenvalue_fails():
     values = symmetric_eigenvalues(band)
     shifted = values + 0.5 * np.diff(values).min()
     with pytest.raises(ConvergenceFailure):
-        symmetric_eigenvalues(band, True, lowest=1, values=shifted)
+        diag._band_eigenvectors(band, shifted, 1)
 
 
 def test_inverse_iteration_failure_names_the_eigenvalue_as_a_plain_float():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
     shifted = symmetric_eigenvalues(band) + 0.25
     with pytest.raises(ConvergenceFailure) as failure:
-        symmetric_eigenvalues(band, True, lowest=1, values=shifted)
+        diag._band_eigenvectors(band, shifted, 1)
     assert str(failure.value) == (
         f"inverse iteration for eigenvalue {float(shifted[0])} missed the rounding scale "
         f"after {diag.INVERSE_ITERATIONS} solves"
@@ -665,7 +668,7 @@ def test_factorization_argument_error_raises_value_error(monkeypatch):
     monkeypatch.setattr(_lapack, "dgbtrf", illegal)
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
     with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
-        symmetric_eigenvalues(band, True, lowest=10)
+        _eigenpairs(band, 10)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2])
@@ -862,7 +865,7 @@ def test_each_schedule_step_solved_once(monkeypatch):
     assert set(solved) <= {id(h) for _, h in assembled[-4:]}
     assert sum(count for _, count in vectors_solved) == 100
 
-    full = [(*symmetric_eigenvalues(h, True), block) for block, h in assembled[-4:]]
+    full = [(*_eigenpairs(h, h.shape[1]), block) for block, h in assembled[-4:]]
     relabelled = _assign_global(full, 100)
     assert [lvl.assigned for lvl in report.levels] == [lvl.assigned for lvl in relabelled]
     assert [lvl.ambiguous for lvl in report.levels] == [lvl.ambiguous for lvl in relabelled]
@@ -884,8 +887,9 @@ def test_each_schedule_step_solved_once(monkeypatch):
 )
 def test_per_block_assignment_is_the_global_greedy(params, n_max):
     spectra = [
-        (*symmetric_eigenvalues(assemble_hamiltonian(block, params), True), block)
+        (*_eigenpairs(band, band.shape[1]), block)
         for block in split_parity_blocks(build_basis(n_max))
+        for band in [assemble_hamiltonian(block, params)]
     ]
     merged = np.concatenate([w for w, _, _ in spectra])
     block_of = np.repeat(np.arange(4), [len(w) for w, _, _ in spectra])
@@ -931,7 +935,7 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     assert ranked < reaching
     assert len(solved) == len(labelled) == ranked
     assert all(labelled)
-    full = [(*symmetric_eigenvalues(h, True, values=w), block) for w, h, block in spectra]
+    full = [(w, diag._band_eigenvectors(h, w, len(w)), block) for w, h, block in spectra]
     assert report.levels == _assign_global(full, k)
 
 
@@ -939,7 +943,7 @@ def _g0_vectors(omega2):
     """The lowest 40 vectors of an uncoupled block: unit vectors."""
     params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], params)
-    return symmetric_eigenvalues(band, True, lowest=40)[1]
+    return _eigenpairs(band, 40)[1]
 
 
 def _orthonormal(n, m):
@@ -961,8 +965,8 @@ _CLAIM_CASES = {
     "orthonormal_10": lambda: _orthonormal(10, 10),
     "orthonormal_50x20": lambda: _orthonormal(50, 20),
     "orthonormal_324x100": lambda: _orthonormal(324, 100),
-    "reference_block": lambda: symmetric_eigenvalues(
-        assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS), True, lowest=40
+    "reference_block": lambda: _eigenpairs(
+        assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS), 40
     )[1],
 }
 
@@ -980,7 +984,7 @@ def test_claim_is_the_argsort_walk(case):
 
 def test_assignment_leaves_its_input_unchanged():
     spectra = [
-        (*symmetric_eigenvalues(assemble_hamiltonian(block, PARAMS), True, lowest=10), block)
+        (*_eigenpairs(assemble_hamiltonian(block, PARAMS), 10), block)
         for block in split_parity_blocks(build_basis(14))
     ]
     copies = [(w.copy(), v.copy()) for w, v, _ in spectra]
@@ -1027,7 +1031,17 @@ def test_flagged_by_the_assigned_weight(default_table):
         level = levels[rank - 1]
         assert (level.assigned.n1, level.assigned.n2) == label
         assert level.overlap_weight < diag.AMBIGUOUS_WEIGHT and level.ambiguous
-    assert all(lvl.ambiguous == (lvl.overlap_weight < diag.AMBIGUOUS_WEIGHT) for lvl in levels)
+
+
+def test_ambiguous_is_derived_from_the_weight():
+    # A level cannot contradict its own weight: the flag is not a field.
+    def level(weight, **extra):
+        return SpectrumLevel(1, 1.0, QuantumNumbers(0, 0), weight, **extra)
+
+    assert not level(diag.AMBIGUOUS_WEIGHT).ambiguous
+    assert level(math.nextafter(diag.AMBIGUOUS_WEIGHT, 0.0)).ambiguous
+    with pytest.raises(TypeError):
+        level(1.0, ambiguous=True)
 
 
 def test_converged_levels_zero_coupling():

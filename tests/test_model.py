@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from quartosc.classical import semiclassical_series
-from quartosc.diag import assemble_hamiltonian, build_basis, split_parity_blocks
+from quartosc.diag import (
+    assemble_hamiltonian,
+    build_basis,
+    converged_levels,
+    split_parity_blocks,
+)
 from quartosc.model import (
     DEFAULT_PARAMS,
     ModelError,
@@ -125,3 +130,17 @@ def test_model_is_homogeneous_under_power_of_two_rescaling(params, k):
             for series in (semiclassical_series, qp_series):
                 total = series(n, params).total(params.g)
                 assert series(n, scaled).total(scaled.g) == math.ldexp(total, k), (n, series)
+
+
+@pytest.mark.parametrize("k", [-40, -3, 1, 7, 60])
+@pytest.mark.parametrize("params", _HOMOGENEITY_PARAMS, ids=["default", "sqrt3", "omega2_0.3"])
+def test_report_is_homogeneous_under_power_of_two_rescaling(params, k):
+    # The stopping rule is relative, so the whole report scales with the model:
+    # energies and history by lam bitwise, labels, weights and final_n_max unchanged.
+    scaled = dataclasses.replace(params, g=math.ldexp(params.g, -k), hbar=math.ldexp(params.hbar, k))
+    report, rescaled = converged_levels(params), converged_levels(scaled)
+    assert rescaled.final_n_max == report.final_n_max
+    assert rescaled.history == tuple((n, math.ldexp(delta, k)) for n, delta in report.history)
+    assert rescaled.levels == tuple(
+        dataclasses.replace(level, energy=math.ldexp(level.energy, k)) for level in report.levels
+    )
