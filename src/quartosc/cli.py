@@ -161,9 +161,7 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     params, values = _resolve(args)
-    table = report.comparison_table(
-        params, n_rows=values["rows"], k=values["k"], digits=values["digits"]
-    )
+    table = report.comparison_table(params, n_rows=values["rows"], digits=values["digits"])
     _emit(report.render_comparison_csv(table.rows), args.out)
     if args.json:
         report.emit_json(table, args.json)
@@ -185,7 +183,7 @@ _COMMANDS = {
     "levels": (_cmd_levels, "converged exact levels with labels",
                ("omega1", "omega2", "g", "hbar", "k", "digits", "dump-matrix")),
     "compare": (_cmd_compare, "exact vs semiclassical vs perturbative table",
-                ("omega1", "omega2", "g", "hbar", "k", "digits", "rows", "json", "dump-matrix")),
+                ("omega1", "omega2", "g", "hbar", "digits", "rows", "json", "dump-matrix")),
     "scan-hbar": (_cmd_scan_hbar, "semiclassical error across hbar values",
                   ("omega1", "omega2", "g", "rows", "hbars")),
 }

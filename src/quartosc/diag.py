@@ -624,10 +624,13 @@ def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     values = band[d, c]
     distinct, index = np.unique(np.concatenate([values, values[off]])[order], return_inverse=True)
     text = ["%.17g" % v for v in distinct.tolist()]
-    with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, len(order), _DUMP_CHUNK):
-            chunk = order[start : start + _DUMP_CHUNK]
-            cells = [None] * (3 * len(chunk))
-            cells[0::3], cells[1::3] = rows[chunk].tolist(), cols[chunk].tolist()
-            cells[2::3] = [text[i] for i in index[start : start + _DUMP_CHUNK].tolist()]
-            fh.write(("%d %d %s\n" * len(chunk)) % tuple(cells))
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            for start in range(0, len(order), _DUMP_CHUNK):
+                chunk = order[start : start + _DUMP_CHUNK]
+                cells = [None] * (3 * len(chunk))
+                cells[0::3], cells[1::3] = rows[chunk].tolist(), cols[chunk].tolist()
+                cells[2::3] = [text[i] for i in index[start : start + _DUMP_CHUNK].tolist()]
+                fh.write(("%d %d %s\n" * len(chunk)) % tuple(cells))
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc

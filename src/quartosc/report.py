@@ -73,15 +73,13 @@ class ComparisonTable:
     report: ConvergenceReport
 
 
-def comparison_table(
-    params: ModelParams,
-    n_rows: int = 20,
-    k: int = 100,
-    digits: int = 8,
-) -> ComparisonTable:
-    """Exact vs semiclassical vs perturbative levels, sorted by exact energy."""
-    k = max(k, SPACING_COUNT, n_rows)
-    report = converged_levels(params, k=k, digits=digits)
+def comparison_table(params: ModelParams, n_rows: int = 20, digits: int = 8) -> ComparisonTable:
+    """Exact vs semiclassical vs perturbative levels, sorted by exact energy.
+
+    Converges the lowest max(SPACING_COUNT, n_rows) levels: the spacing D
+    needs SPACING_COUNT of them, and each printed row needs its own.
+    """
+    report = converged_levels(params, k=max(SPACING_COUNT, n_rows), digits=digits)
     energies = [lvl.energy for lvl in report.levels]
     spacing = mean_level_spacing(energies, SPACING_COUNT)
     s = range_exponent(params.g, params.hbar)

@@ -171,6 +171,22 @@ def test_unwritable_output_exits_4(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "--k", "5", "--dump-matrix"],
+        ["levels", "--k", "5", "--out"],
+        ["compare", "--rows", "1", "--json"],
+    ],
+    ids=["dump-matrix", "out", "json"],
+)
+def test_write_error_names_its_file(capsys, argv):
+    code, _, err = run(capsys, *argv, "/dev/full")
+    assert code == 4
+    assert err == "error: writing /dev/full: [Errno 28] No space left on device\n"
+
+
 def test_sqrt2_alias_matches_literal(capsys):
     _, out_alias, _ = run(capsys, "levels", "--k", "3", "--omega2", "sqrt2")
     _, out_literal, _ = run(
@@ -228,6 +244,20 @@ def test_out_file_is_the_stdout_bytes(capsys, tmp_path):
     assert path.read_bytes() == out.encode("ascii")
 
 
+def test_compare_converges_each_printed_row_beyond_the_spacing_count(capsys, tmp_path):
+    # 150 rows need 150 converged levels; D stays the spacing of the lowest 100.
+    import json
+
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, "compare", "--rows", "150", "--json", str(path))
+    assert code == 0
+    lines = out.encode("ascii").splitlines(keepends=True)
+    assert len(lines) == 1 + 150
+    golden = Path(__file__).parent / "golden" / "compare.csv"
+    assert b"".join(lines[:21]) == golden.read_bytes()
+    assert json.loads(path.read_text())["spacing"]["count"] == 100
+
+
 def test_compare_json_metadata(capsys, tmp_path):
     import json
 
@@ -263,7 +293,6 @@ def test_scan_hbar_rejects_negative(capsys):
         ["levels", "--k", "0"],
         ["levels", "--k", "-3"],
         ["levels", "--digits", "0"],
-        ["compare", "--k", "1.5"],
         ["compare", "--rows", "0"],
         ["scan-hbar", "--rows", "0"],
         ["levels", "--k", "3", "--digits", "16"],
@@ -273,6 +302,7 @@ def test_scan_hbar_rejects_negative(capsys):
         ["levels", "--k", "3", "--hbar", "1e200"],
         ["levels", "--config", b"omgea1=3\n"],
         ["scan-hbar", "--config", b"k=5\n"],
+        ["compare", "--config", b"k=300\n"],
         # The lowest 100 levels underflow to one value: their mean spacing is 0.
         ["compare", "--hbar", "5e-324"],
         ["scan-hbar", "--hbars", "5e-324"],
@@ -327,6 +357,9 @@ def test_error_message_names_its_cause(capsys, argv, cause):
         ["scan-hbar", "--digits", "3"],
         ["scan-hbar", "--hbar", "5"],
         ["scan-hbar", "--dump-matrix", "h.txt"],
+        # compare converges max(100, --rows) levels on its own.
+        ["compare", "--k", "1.5"],
+        ["compare", "--k", "300"],
     ],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):

@@ -77,6 +77,17 @@ def test_matrix_dump_is_byte_identical_to_golden(name, tmp_path):
     assert pin == json.loads(DUMP_PINS.read_text())[name]
 
 
+@pytest.mark.parametrize(
+    ("name", "argv"),
+    [("levels", ["compare"]), ("levels_hbar0.1", ["compare", "--hbar", "0.1"])],
+)
+def test_compare_dumps_the_matrix_that_levels_dumps(name, argv, tmp_path):
+    # Both commands accept the same step at these inputs, so both dump one matrix.
+    code, pin = _dump_pin(argv, tmp_path / "matrix.txt")
+    assert code == 0
+    assert pin == json.loads(DUMP_PINS.read_text())[name]
+
+
 def test_default_dump_pin_is_the_benchmarks():
     pinned = json.loads(DUMP_PINS.read_text())["levels"]["sha256"]
     assert pinned == json.loads(BENCH_GOLDEN.read_text())["dump"]["dump_sha256"]
