@@ -12,13 +12,14 @@ lowest 100 exact levels.
 """
 
 from quartosc import DEFAULT_PARAMS, comparison_table, decompose_e2
+from quartosc.report import SPACING_COUNT
 
 table = comparison_table(DEFAULT_PARAMS, n_rows=20)
 
 print(f"basis converged at n_max = {table.report.final_n_max} "
       f"(dimension {(table.report.final_n_max + 1) ** 2})")
-print(f"mean level spacing D = {table.spacing.d:.6f} "
-      f"over the lowest {table.spacing.count} levels\n")
+print(f"mean level spacing D = {table.spacing:.6f} "
+      f"over the lowest {SPACING_COUNT} levels\n")
 
 print(f"{'(n1,n2)':>8} {'exact':>10} {'semiclass':>10} {'quantum PT':>10} "
       f"{'|err_sc|/D':>11} {'|err_qp|/D':>11}")

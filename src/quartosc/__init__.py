@@ -20,7 +20,7 @@ from .model import (
     validate,
 )
 from .quantum import decompose_e2, qp_series
-from .report import ComparisonRow, MeanSpacing, comparison_table, hbar_scan
+from .report import ComparisonRow, comparison_table, hbar_scan
 
 __all__ = [
     "ActionPair",
@@ -28,7 +28,6 @@ __all__ = [
     "ComparisonRow",
     "ConvergenceReport",
     "DEFAULT_PARAMS",
-    "MeanSpacing",
     "ModelError",
     "ModelParams",
     "NegativeCoupling",

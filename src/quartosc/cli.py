@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import diag, report
 from .model import DEFAULT_PARAMS, ModelError, ModelParams
@@ -92,10 +93,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _naming(verb: str, path: str) -> Iterator[None]:
+    """Re-raise an OSError as `VERB PATH: [Errno N] strerror`, naming the path once.
+
+    The OSError of a failed open names the file itself; a failed write or
+    close does not, so the original text cannot serve for both.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{verb} {path}: [Errno {exc.errno}] {exc.strerror}") from exc
+
+
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="ascii") as fh:
+        with _naming("reading", path), open(path, encoding="ascii") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ModelError(f"config file {path} is not ASCII text: {exc}") from exc
@@ -138,16 +152,19 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, dict]:
     return params, values
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(text: str, path: str | None) -> None:
+    """Write text to path, ASCII with the newlines as given, or to stdout without one."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        report._write(text, out)
+        return
+    with _naming("writing", path), open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
 
 
 def _dump_final_matrix(params: ModelParams, n_max: int, path: str) -> None:
-    basis = diag.build_basis(n_max)
-    diag.dump_matrix_triplets(diag.assemble_hamiltonian(basis, params), path)
+    matrix = diag.assemble_hamiltonian(diag.build_basis(n_max), params)
+    with _naming("writing", path):
+        diag.dump_matrix_triplets(matrix, path)
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
@@ -164,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table = report.comparison_table(params, n_rows=values["rows"], digits=values["digits"])
     _emit(report.render_comparison_csv(table.rows), args.out)
     if args.json:
-        report.emit_json(table, args.json)
+        _emit(report.render_json(table), args.json)
     if args.dump_matrix:
         _dump_final_matrix(params, table.report.final_n_max, args.dump_matrix)
     return EXIT_OK

@@ -46,14 +46,12 @@ from . import _lapack
 from .model import ModelError, ModelParams, QuantumNumbers, range_exponent
 from .quantum import ladder_factor
 
-#: Basis-growth schedule parameters: n_max starts at 14 and grows by 5.
-SCHEDULE_START = 14
-SCHEDULE_STEP = 5
-N_MAX_CAP = 80
+#: The n_max of each basis the enlargement loop may try, in order: 14, 19, ..., 79.
+SCHEDULE = range(14, 80, 5)
 
 #: The eigenvalue solver's rounding scale, in units of eps * max|E|.  Checked
 #: against a long-double Rayleigh-quotient oracle, the band solver's error
-#: reached 72 eps max|E| over all levels at n_max <= 80 (the default cap).
+#: reached 72 eps max|E| over all levels at n_max <= 80, past SCHEDULE's largest basis.
 ROUNDING_FACTOR = 100.0
 
 #: Cap on the inverse-iteration solves per eigenvector (LAPACK dstein's MAXITS).
@@ -68,7 +66,7 @@ class ConvergenceFailure(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Basis enlargement hit the n_max cap before the levels converged."""
+    """No scheduled basis holds the levels, or SCHEDULE ended before they converged."""
 
 
 class UnresolvableDigits(ModelError):
@@ -526,12 +524,11 @@ def converged_levels(
 ) -> ConvergenceReport:
     """Enlarge the basis until the lowest k levels hold to the digit target.
 
-    n_max walks range(SCHEDULE_START, N_MAX_CAP + 1, SCHEDULE_STEP) from the
-    first basis holding k levels.  The stopping rule compares consecutive
-    steps level by level against the relative threshold 0.5 * 10^-digits *
-    |E| (every level is positive).  Each step ranks its k lowest levels
-    once, by a stable sort of all blocks' eigenvalues, so equal energies
-    keep block order.
+    n_max walks SCHEDULE from the first basis holding k levels.  The
+    stopping rule compares consecutive steps level by level against the
+    relative threshold 0.5 * 10^-digits * |E| (every level is positive).
+    Each step ranks its k lowest levels once, by a stable sort of all
+    blocks' eigenvalues, so equal energies keep block order.
     The accepted step then maps _label_block over the blocks that hold a
     ranked level, on the same pool: each job solves its block's vectors on
     the retained band and returns the block's claims, and the calling
@@ -547,19 +544,15 @@ def converged_levels(
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
-    schedule = range(SCHEDULE_START, N_MAX_CAP + 1, SCHEDULE_STEP)
-    held = (schedule[-1] + 1) ** 2 if schedule else 0
+    held = (SCHEDULE[-1] + 1) ** 2 if SCHEDULE else 0
     if held < k:
-        raise BudgetExceeded(
-            f"{k} levels requested, but no scheduled basis within n_max={N_MAX_CAP} "
-            f"holds more than {held}"
-        )
+        raise BudgetExceeded(f"{k} levels requested, but no scheduled basis holds more than {held}")
 
     previous = None
     history: list[tuple[int, float]] = []
     # One pool serves every step of this call; leaving the block joins its threads.
     with ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="quartosc-lapack") as pool:
-        for n_max in (n for n in schedule if (n + 1) ** 2 >= k):  # bases holding k levels
+        for n_max in (n for n in SCHEDULE if (n + 1) ** 2 >= k):  # bases holding k levels
             spectra = _block_spectra(params, n_max, pool)
             merged = np.concatenate([w for w, _, _ in spectra])
             lowest = np.argsort(merged, kind="stable")[:k]
@@ -585,7 +578,7 @@ def converged_levels(
             del spectra  # release this step's bands before the next step assembles
         else:
             raise BudgetExceeded(
-                f"first {k} levels not converged to {digits} digits by n_max={N_MAX_CAP}"
+                f"first {k} levels not converged to {digits} digits by n_max={n_max}"
             )
 
         # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
@@ -624,13 +617,10 @@ def dump_matrix_triplets(matrix: np.ndarray, path: str) -> None:
     values = band[d, c]
     distinct, index = np.unique(np.concatenate([values, values[off]])[order], return_inverse=True)
     text = ["%.17g" % v for v in distinct.tolist()]
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            for start in range(0, len(order), _DUMP_CHUNK):
-                chunk = order[start : start + _DUMP_CHUNK]
-                cells = [None] * (3 * len(chunk))
-                cells[0::3], cells[1::3] = rows[chunk].tolist(), cols[chunk].tolist()
-                cells[2::3] = [text[i] for i in index[start : start + _DUMP_CHUNK].tolist()]
-                fh.write(("%d %d %s\n" * len(chunk)) % tuple(cells))
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        for start in range(0, len(order), _DUMP_CHUNK):
+            chunk = order[start : start + _DUMP_CHUNK]
+            cells = [None] * (3 * len(chunk))
+            cells[0::3], cells[1::3] = rows[chunk].tolist(), cols[chunk].tolist()
+            cells[2::3] = [text[i] for i in index[start : start + _DUMP_CHUNK].tolist()]
+            fh.write(("%d %d %s\n" * len(chunk)) % tuple(cells))

@@ -27,31 +27,21 @@ class InsufficientLevels(ModelError):
     """Fewer levels available than the spacing computation needs, or no spread among them."""
 
 
-@dataclass(frozen=True)
-class MeanSpacing:
-    """Mean gap of the lowest `count` levels, d = (E_count - E_1)/count."""
+def mean_level_spacing(energies: Sequence[float]) -> float:
+    """D = (E_SPACING_COUNT - E_1) / SPACING_COUNT over the lowest sorted energies.
 
-    d: float
-    count: int
-
-
-def mean_level_spacing(energies: Sequence[float], count: int) -> MeanSpacing:
-    """Range-based mean spacing over the lowest `count` sorted energies.
-
-    The divisor is `count` (not count - 1): that is the normalization
-    the reference error tables are built with, confirmed by back-solving
-    them against the recomputed spectrum.
+    The divisor is SPACING_COUNT (not SPACING_COUNT - 1): that is the
+    normalization the reference error tables are built with, confirmed by
+    back-solving them against the recomputed spectrum.
     """
-    if count < 2:
-        raise InsufficientLevels(f"count must be >= 2, got {count}")
-    if len(energies) < count:
-        raise InsufficientLevels(
-            f"need at least {count} levels, got {len(energies)}"
-        )
-    d = (energies[count - 1] - energies[0]) / count
+    if len(energies) < SPACING_COUNT:
+        raise InsufficientLevels(f"need at least {SPACING_COUNT} levels, got {len(energies)}")
+    d = (energies[SPACING_COUNT - 1] - energies[0]) / SPACING_COUNT
     if not d > 0.0:
-        raise InsufficientLevels(f"the lowest {count} levels have mean spacing {d}, not > 0")
-    return MeanSpacing(d=d, count=count)
+        raise InsufficientLevels(
+            f"the lowest {SPACING_COUNT} levels have mean spacing {d}, not > 0"
+        )
+    return d
 
 
 @dataclass(frozen=True)
@@ -68,8 +58,10 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
+    """Comparison rows; spacing is D, the mean_level_spacing of the exact levels."""
+
     rows: tuple[ComparisonRow, ...]
-    spacing: MeanSpacing
+    spacing: float
     report: ConvergenceReport
 
 
@@ -81,7 +73,7 @@ def comparison_table(params: ModelParams, n_rows: int = 20, digits: int = 8) -> 
     """
     report = converged_levels(params, k=max(SPACING_COUNT, n_rows), digits=digits)
     energies = [lvl.energy for lvl in report.levels]
-    spacing = mean_level_spacing(energies, SPACING_COUNT)
+    spacing = mean_level_spacing(energies)
     s = range_exponent(params.g, params.hbar)
     scaled = replace(params, g=math.ldexp(params.g, -s), hbar=math.ldexp(params.hbar, s))
     rows = []
@@ -94,8 +86,8 @@ def comparison_table(params: ModelParams, n_rows: int = 20, digits: int = 8) -> 
                 e_exact=lvl.energy,
                 e_sc=e_sc,
                 e_qp=e_qp,
-                err_sc=abs(lvl.energy - e_sc) / spacing.d,
-                err_qp=abs(lvl.energy - e_qp) / spacing.d,
+                err_sc=abs(lvl.energy - e_sc) / spacing,
+                err_qp=abs(lvl.energy - e_qp) / spacing,
             )
         )
     return ComparisonTable(rows=tuple(rows), spacing=spacing, report=report)
@@ -130,15 +122,16 @@ _COMPARISON_COLUMNS = (
     ("err_qp_over_D", attrgetter("err_qp"), "#.8g"),
 )
 
-#: Scan rows are (hbar, rank, ComparisonRow).
+#: Scan rows are (hbar, rank, ComparisonRow); the row's columns are the
+#: comparison table's, without the perturbative ones.
 _SCAN_COLUMNS = (
     ("hbar", itemgetter(0), "g"),
     ("rank", itemgetter(1), "d"),
-    ("n1", lambda row: row[2].n.n1, "d"),
-    ("n2", lambda row: row[2].n.n2, "d"),
-    ("e_exact", lambda row: row[2].e_exact, "#.7g"),
-    ("e_sc", lambda row: row[2].e_sc, "#.7g"),
-    ("err_sc_over_D", lambda row: row[2].err_sc, "#.8g"),
+    *(
+        (header, lambda row, read=read: read(row[2]), spec)
+        for header, read, spec in _COMPARISON_COLUMNS
+        if header in ("n1", "n2", "e_exact", "e_sc", "err_sc_over_D")
+    ),
 )
 
 _LEVEL_COLUMNS = (
@@ -172,13 +165,13 @@ def render_levels_csv(levels: Sequence[SpectrumLevel]) -> str:
     return _render_csv(_LEVEL_COLUMNS, levels)
 
 
-def emit_json(table: ComparisonTable, destination: str) -> None:
+def render_json(table: ComparisonTable) -> str:
     """JSON variant of the comparison table plus convergence metadata.
 
     Each row holds the comparison CSV's columns, keyed by their headers.
     """
     payload = {
-        "spacing": {"d": table.spacing.d, "count": table.spacing.count},
+        "spacing": {"d": table.spacing, "count": SPACING_COUNT},
         "convergence": {
             "final_n_max": table.report.final_n_max,
             "history": [
@@ -191,12 +184,4 @@ def emit_json(table: ComparisonTable, destination: str) -> None:
             for row in table.rows
         ],
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", destination)
-
-
-def _write(text: str, destination: str) -> None:
-    try:
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"writing {destination}: {exc}") from exc
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -17,7 +17,6 @@ import pytest
 
 from quartosc.classical import ActionPair, h1_actions, h2_actions, semiclassical_series
 from quartosc.diag import (
-    N_MAX_CAP,
     _band_eigenvectors,
     _block_spectra,
     assemble_hamiltonian,
@@ -139,7 +138,7 @@ def test_criterion_3_exact_levels(default_table):
 
 
 def test_criterion_4_error_quotients(default_table):
-    d = default_table.spacing.d
+    d = default_table.spacing
     for i, row in enumerate(default_table.rows):
         label = (row.n.n1, row.n.n2)
         if label == (0, 3):
@@ -343,9 +342,9 @@ def test_exact_minus_second_order_is_third_order_in_hbar():
 )
 def test_reported_digits_hold_against_the_largest_basis(params, k, digits):
     # The digit claim: each reported energy lies within its threshold of the same
-    # rank's eigenvalue in the largest scheduled basis, n_max = N_MAX_CAP (80).
+    # rank's eigenvalue in the basis n_max = 80, one past the largest scheduled one (79).
     report = converged_levels(params, k=k, digits=digits)
-    bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(N_MAX_CAP))]
+    bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(80))]
     truth = np.sort(np.concatenate([symmetric_eigenvalues(band) for band in bands]))[:k]
     energies = np.array([lvl.energy for lvl in report.levels])
     threshold = 0.5 * 10.0 ** (-digits) * np.abs(energies)

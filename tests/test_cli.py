@@ -45,7 +45,7 @@ def test_resonant_input_exits_2(capsys):
 
 
 def test_budget_exceeded_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.diag, "N_MAX_CAP", 20)
+    monkeypatch.setattr(cli.diag, "SCHEDULE", range(14, 20, 5))
     code, _, err = run(capsys, "levels", "--k", "100")
     assert code == 3
     assert "not converged" in err
@@ -110,8 +110,7 @@ def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == (
-        f"error: {argv[-1]} levels requested, but no scheduled basis within n_max=80 "
-        "holds more than 6400\n"
+        f"error: {argv[-1]} levels requested, but no scheduled basis holds more than 6400\n"
     )
 
 
@@ -171,7 +170,6 @@ def test_unwritable_output_exits_4(capsys, tmp_path):
     assert "error" in err
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -181,10 +179,24 @@ def test_unwritable_output_exits_4(capsys, tmp_path):
     ],
     ids=["dump-matrix", "out", "json"],
 )
-def test_write_error_names_its_file(capsys, argv):
+def test_write_error_names_its_file(capsys, tmp_path, argv):
+    # The message names the path once, whether the open or the write fails.
+    missing = tmp_path / "missing" / "x"
+    code, _, err = run(capsys, *argv, str(missing))
+    assert code == 4
+    assert err == f"error: writing {missing}: [Errno 2] No such file or directory\n"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("the failing write needs /dev/full")
     code, _, err = run(capsys, *argv, "/dev/full")
     assert code == 4
     assert err == "error: writing /dev/full: [Errno 28] No space left on device\n"
+
+
+def test_missing_config_file_names_it_once(capsys, tmp_path):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run(capsys, "levels", "--k", "5", "--config", str(missing))
+    assert (code, out) == (4, "")
+    assert err == f"error: reading {missing}: [Errno 2] No such file or directory\n"
 
 
 def test_sqrt2_alias_matches_literal(capsys):

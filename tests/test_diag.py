@@ -1061,13 +1061,13 @@ def test_converged_levels_zero_coupling():
 
 
 def test_converged_levels_budget(monkeypatch):
-    monkeypatch.setattr(diag, "N_MAX_CAP", 20)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setattr(diag, "SCHEDULE", range(14, 20, 5))
+    with pytest.raises(BudgetExceeded, match="not converged to 8 digits by n_max=19$"):
         converged_levels(PARAMS, k=100, digits=8)
 
 
 def test_empty_schedule_holds_no_level(monkeypatch):
-    monkeypatch.setattr(diag, "N_MAX_CAP", diag.SCHEDULE_START - 1)
+    monkeypatch.setattr(diag, "SCHEDULE", range(0))
     with pytest.raises(BudgetExceeded, match="holds more than 0$"):
         converged_levels(PARAMS, k=1)
 

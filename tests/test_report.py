@@ -6,10 +6,10 @@ from quartosc.model import ModelParams, QuantumNumbers
 from quartosc.report import (
     _COMPARISON_COLUMNS,
     InsufficientLevels,
-    emit_json,
     hbar_scan,
     mean_level_spacing,
     render_comparison_csv,
+    render_json,
     render_scan_csv,
 )
 
@@ -17,29 +17,29 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_mean_spacing_uniform_levels():
-    spacing = mean_level_spacing(list(range(100)), 100)
-    # range-based with divisor = count
-    assert spacing.d == pytest.approx(99.0 / 100.0)
-    assert spacing.count == 100
+    # range-based with divisor = 100, the spacing count
+    assert mean_level_spacing(list(range(100))) == pytest.approx(99.0 / 100.0)
+
+
+def test_mean_spacing_reads_only_the_lowest_100_levels():
+    assert mean_level_spacing([*range(100), 1e9]) == mean_level_spacing(list(range(100)))
 
 
 def test_mean_spacing_two_levels():
-    spacing = mean_level_spacing([1.0, 4.0], 2)
-    assert spacing.d == pytest.approx(1.5)
+    # Only the first and the 100th level count: the interior ones do not move D.
+    for interior in ([1.0] * 98, [4.0] * 98, [1.0 + 3.0 * i / 98 for i in range(98)]):
+        assert mean_level_spacing([1.0, *interior, 4.0]) == 3.0 / 100.0
 
 
 def test_mean_spacing_requires_enough_levels():
-    with pytest.raises(InsufficientLevels):
-        mean_level_spacing([1.0, 2.0], 3)
-    with pytest.raises(InsufficientLevels):
-        mean_level_spacing([1.0, 2.0], 1)
+    with pytest.raises(InsufficientLevels, match="need at least 100 levels, got 99$"):
+        mean_level_spacing([float(i) for i in range(99)])
     with pytest.raises(InsufficientLevels):  # no spread: every error quotient would divide by 0
-        mean_level_spacing([5e-324, 5e-324], 2)
+        mean_level_spacing([5e-324] * 100)
 
 
 def test_reference_mean_spacing(default_table):
-    assert default_table.spacing.d == pytest.approx(0.177162, abs=5e-6)
-    assert default_table.spacing.count == 100
+    assert default_table.spacing == pytest.approx(0.177162, abs=5e-6)
 
 
 def test_ground_row_values(default_table):
@@ -59,7 +59,7 @@ def test_rows_sorted_and_errors_nonnegative(default_table):
 
 
 def test_error_quotients_self_consistent(default_table):
-    d = default_table.spacing.d
+    d = default_table.spacing
     for row in default_table.rows:
         assert row.err_sc == pytest.approx(abs(row.e_exact - row.e_sc) / d, rel=1e-10)
         assert row.err_qp == pytest.approx(abs(row.e_exact - row.e_qp) / d, rel=1e-10)
@@ -96,25 +96,21 @@ def test_csv_rejects_empty():
         render_scan_csv([])
 
 
-def test_json_emission(default_table, tmp_path):
+def test_json_emission(default_table):
     import json
 
-    path = tmp_path / "table.json"
-    emit_json(default_table, str(path))
-    payload = json.loads(path.read_text())
+    payload = json.loads(render_json(default_table))
     assert payload["convergence"]["final_n_max"] == 34
-    assert payload["spacing"]["count"] == 100
+    assert payload["spacing"] == {"d": default_table.spacing, "count": 100}
     assert len(payload["rows"]) == 20
     assert payload["rows"][0]["n1"] == 0
 
 
-def test_json_rows_format_to_the_csv_lines(default_table, tmp_path):
+def test_json_rows_format_to_the_csv_lines(default_table):
     import json
 
-    path = tmp_path / "table.json"
-    emit_json(default_table, str(path))
     header, *lines = render_comparison_csv(default_table.rows).splitlines()
-    rows = json.loads(path.read_text())["rows"]
+    rows = json.loads(render_json(default_table))["rows"]
     assert len(rows) == len(lines) == 20
     keys = header.split(",")
     specs = [spec for _, _, spec in _COMPARISON_COLUMNS]
