@@ -19,14 +19,16 @@ dgeqp3) is a ctypes foreign call, bound by quartosc._lapack to the one
 scipy exports, which releases the GIL; scipy.linalg itself is never
 imported.  Each step ranks its k lowest levels once, by one stable sort
 of all blocks' eigenvalues.  Only the accepted step takes eigenvectors,
-by inverse iteration on each band, shifted by the eigenvalues already
-found and scaled by a power of two, so that any valid g and hbar stay
-inside the exponent range; no n x n array is built.  That pass is one
-more map on the same pool, one job per block that holds a ranked level:
-the job solves the block's vectors in order, then runs the block's claim
-loop on them and returns the claims, so no vector array outlives its job.
-The blocks share no basis state, so the labels are those of one claim
-loop over all blocks; the calling thread turns the claims into levels.
+and only for the levels it labels: the lowest `labelled` of the k, all
+of them by default.  They come by inverse iteration on each band,
+shifted by the eigenvalues already found and scaled by a power of two,
+so that any valid g and hbar stay inside the exponent range; no n x n
+array is built.  That pass is one more map on the same pool, one job per
+block that holds a labelled level: the job solves the block's vectors in
+order, then runs the block's claim loop on them and returns the claims,
+so no vector array outlives its job.  The blocks share no basis state,
+so the labels are those of one claim loop over the labelled levels of
+all blocks; the calling thread turns the claims into levels.
 The jobs' factorizations, solves and residuals (dgbtrf, dgbtrs, dsbmv)
 run without the GIL, so the jobs overlap.
 """
@@ -417,11 +419,14 @@ class SpectrumLevel:
 class ConvergenceReport:
     """Outcome of the basis-enlargement loop.
 
-    history holds, per accepted schedule step after the first, the
-    largest per-level |E(N) - E(N_prev)| over the tracked levels.
+    energies holds all k converged energies in rank order; levels holds
+    the labelled ones, ranks 1..labelled, each with energies[rank - 1] as
+    its energy.  history holds, per accepted schedule step after the
+    first, the largest per-level |E(N) - E(N_prev)| over the tracked levels.
     """
 
     final_n_max: int
+    energies: tuple[float, ...]
     levels: tuple[SpectrumLevel, ...]
     history: tuple[tuple[int, float], ...]
 
@@ -502,12 +507,13 @@ def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
 
 
 def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
-    """One accepted block's job: the claims (_claim) of its ranked levels.
+    """One accepted block's job: the claims (_claim) of its labelled levels.
 
     job is (values, band, block, ranks), values all the band's eigenvalues,
-    ascending; kth is the k-th lowest over all blocks.  Vectors are solved
-    for every value up to kth, which keeps a degenerate run cut at the k-th
-    level whole for _canonical_basis, and are dropped when the job returns.
+    ascending; kth is the highest labelled level's energy.  Vectors are
+    solved for every value up to kth, which keeps a degenerate run cut at
+    that level whole for _canonical_basis, and are dropped when the job
+    returns.
     It runs on a pool thread, so it calls only private functions and builds
     no QuantumNumbers: a tracer may wrap the public ones with one span stack
     and count constructions without a lock.
@@ -521,6 +527,7 @@ def converged_levels(
     params: ModelParams,
     k: int = 100,
     digits: int = 8,
+    labelled: int | None = None,
 ) -> ConvergenceReport:
     """Enlarge the basis until the lowest k levels hold to the digit target.
 
@@ -528,12 +535,15 @@ def converged_levels(
     stopping rule compares consecutive steps level by level against the
     relative threshold 0.5 * 10^-digits * |E| (every level is positive).
     Each step ranks its k lowest levels once, by a stable sort of all
-    blocks' eigenvalues, so equal energies keep block order.
-    The accepted step then maps _label_block over the blocks that hold a
-    ranked level, on the same pool: each job solves its block's vectors on
-    the retained band and returns the block's claims, and the calling
-    thread builds the levels from them.  The pool is joined before the
-    call returns or raises.  Raises BudgetExceeded when no scheduled basis
+    blocks' eigenvalues, so equal energies keep block order.  The report
+    carries all k energies, but labels only the lowest `labelled` levels
+    (default k): the claim loop runs over those alone, so the levels above
+    them move no label.  The accepted step maps _label_block over the
+    blocks that hold a labelled level, on the same pool: each job solves
+    its block's vectors on the retained band and returns the block's
+    claims, and the calling thread builds the levels from them.  The pool
+    is joined before the call returns or raises.  Raises ValueError unless
+    1 <= labelled <= k, BudgetExceeded when no scheduled basis
     holds k levels or the schedule ends unconverged, and UnresolvableDigits
     at the first step where the smallest threshold is no larger than
     ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale, or
@@ -543,6 +553,9 @@ def converged_levels(
         raise ValueError(f"k must be >= 1, got {k}")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
+    labelled = k if labelled is None else labelled
+    if not 1 <= labelled <= k:
+        raise ValueError(f"labelled must be in 1..k={k}, got {labelled}")
 
     held = (SCHEDULE[-1] + 1) ** 2 if SCHEDULE else 0
     if held < k:
@@ -581,19 +594,25 @@ def converged_levels(
                 f"first {k} levels not converged to {digits} digits by n_max={n_max}"
             )
 
-        # Rank r's level is in block block_of[r - 1]; a block's ranked levels are its lowest.
-        block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])[lowest]
+        # Rank r's level is in block block_of[r - 1]; a block's labelled levels are its lowest.
+        sizes = [len(w) for w, _, _ in spectra]
+        block_of = np.repeat(range(len(spectra)), sizes)[lowest[:labelled]]
         per_block = [np.flatnonzero(block_of == i) + 1 for i in range(len(spectra))]
-        # (values, band, block, ranks) of each block that holds a ranked level
+        # (values, band, block, ranks) of each block that holds a labelled level
         ranked = [(*spectrum, ranks) for spectrum, ranks in zip(spectra, per_block) if len(ranks)]
-        claims = list(pool.map(_label_block, ranked, itertools.repeat(values[-1])))
+        claims = list(pool.map(_label_block, ranked, itertools.repeat(values[labelled - 1])))
     levels = [
         level
         for (w, _, block, ranks), block_claims in zip(ranked, claims)
         for level in _levels(block_claims, w, block, ranks)
     ]
     levels.sort(key=lambda lvl: lvl.rank)
-    return ConvergenceReport(final_n_max=n_max, levels=tuple(levels), history=tuple(history))
+    return ConvergenceReport(
+        final_n_max=n_max,
+        energies=tuple(values.tolist()),
+        levels=tuple(levels),
+        history=tuple(history),
+    )
 
 
 #: Entries that dump_matrix_triplets formats with one % operation, which bounds its buffers.

@@ -69,15 +69,17 @@ def comparison_table(params: ModelParams, n_rows: int = 20, digits: int = 8) -> 
     """Exact vs semiclassical vs perturbative levels, sorted by exact energy.
 
     Converges the lowest max(SPACING_COUNT, n_rows) levels: the spacing D
-    needs SPACING_COUNT of them, and each printed row needs its own.
+    needs the energies of SPACING_COUNT of them, and each printed row needs
+    its own.  Only the n_rows printed levels are labelled, by one claim
+    loop over them alone, so report.levels holds n_rows levels.
     """
-    report = converged_levels(params, k=max(SPACING_COUNT, n_rows), digits=digits)
-    energies = [lvl.energy for lvl in report.levels]
-    spacing = mean_level_spacing(energies)
+    k = max(SPACING_COUNT, n_rows)
+    report = converged_levels(params, k=k, digits=digits, labelled=n_rows)
+    spacing = mean_level_spacing(report.energies)
     s = range_exponent(params.g, params.hbar)
     scaled = replace(params, g=math.ldexp(params.g, -s), hbar=math.ldexp(params.hbar, s))
     rows = []
-    for lvl in report.levels[:n_rows]:
+    for lvl in report.levels:
         e_sc = math.ldexp(semiclassical_series(lvl.assigned, scaled).total(scaled.g), -s)
         e_qp = math.ldexp(qp_series(lvl.assigned, scaled).total(scaled.g), -s)
         rows.append(
@@ -100,7 +102,8 @@ def hbar_scan(
 
     Each hbar gets its own converged exact spectrum, its own mean
     spacing over the lowest 100 levels, and its own label assignment
-    (the energy ordering of the levels changes with hbar).
+    over its n_rows printed levels (the energy ordering of the levels
+    changes with hbar).
     """
     return tuple(
         (hbar, rank, row)

@@ -130,6 +130,8 @@ def test_criterion_2_semiclassical_levels():
 def test_criterion_3_exact_levels(default_table):
     report = default_table.report
     assert report.final_n_max == 34  # matrix dimension 1225
+    assert len(report.levels) == 20  # the printed rows are labelled
+    assert len(report.energies) == 100  # D is taken over the lowest 100
     for row, printed, label in zip(default_table.rows, REF_EXACT, REF_LABELS):
         assert (row.n.n1, row.n.n2) == label
         assert row.e_exact == pytest.approx(printed, abs=5e-6), label

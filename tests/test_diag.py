@@ -939,6 +939,64 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     assert report.levels == _assign_global(full, k)
 
 
+_SQRT3_HBAR01 = ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1)
+
+
+def _bits(energies):
+    return [float(e).hex() for e in energies]
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, _SQRT3_HBAR01], ids=["default", "sqrt3"])
+def test_labelled_defaults_to_all_k_levels(params):
+    report = converged_levels(params, k=100)
+    assert converged_levels(params, k=100, labelled=100) == report
+    assert [lvl.rank for lvl in report.levels] == list(range(1, 101))
+    assert _bits(report.energies) == _bits(lvl.energy for lvl in report.levels)
+
+
+@pytest.mark.parametrize(
+    "params, m",
+    [(DEFAULT_PARAMS, 1), (DEFAULT_PARAMS, 20), (DEFAULT_PARAMS, 40), (_SQRT3_HBAR01, 37)],
+    ids=["default-1", "default-20", "default-40", "sqrt3-37"],
+)
+def test_labelled_levels_are_one_claim_loop_over_them_alone(monkeypatch, params, m):
+    original_vectors = diag._band_eigenvectors
+    solved = []
+
+    def spy_vectors(band, values, count):  # runs in a block's job on the pool
+        solved.append(count)
+        return original_vectors(band, values, count)
+
+    monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
+    report = converged_levels(params, k=100, labelled=m)
+    monkeypatch.undo()
+    full = converged_levels(params, k=100)
+
+    assert report.final_n_max == full.final_n_max and report.history == full.history
+    assert _bits(report.energies) == _bits(full.energies)
+    assert [lvl.rank for lvl in report.levels] == list(range(1, m + 1))
+    assert _bits(lvl.energy for lvl in report.levels) == _bits(full.energies[:m])
+    # Vectors are solved for the labelled levels only (no degenerate run here).
+    assert sum(solved) == m
+    # The labels are the global claim loop's over the m lowest levels, blind to the rest:
+    # at the defaults, the loop over all 100 pushes rank 39 onto (2,5); over 40 it keeps (8,1).
+    with ThreadPoolExecutor() as pool:
+        spectra = _block_spectra(params, report.final_n_max, pool)
+    kth = report.energies[m - 1]
+    lowest = [
+        (w[:count], diag._band_eigenvectors(h, w, count), block)
+        for w, h, block in spectra
+        for count in [int(np.searchsorted(w, kth, side="right"))]
+    ]
+    assert report.levels == _assign_global(lowest, m)
+
+
+@pytest.mark.parametrize("labelled", [0, 101])
+def test_labelled_outside_one_to_k_is_rejected(labelled):
+    with pytest.raises(ValueError, match=f"labelled must be in 1..k=100, got {labelled}$"):
+        converged_levels(DEFAULT_PARAMS, k=100, labelled=labelled)
+
+
 def _g0_vectors(omega2):
     """The lowest 40 vectors of an uncoupled block: unit vectors."""
     params = ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0)
@@ -1023,9 +1081,9 @@ def test_at_most_workers_blocks_vectors_are_alive(monkeypatch, workers):
     assert [lvl.rank for lvl in report.levels] == list(range(1, 101))
 
 
-def test_flagged_by_the_assigned_weight(default_table):
-    # Greedy pushes ranks 39 and 71 off their best states onto (2,5) and (4,6).
-    levels = default_table.report.levels
+def test_flagged_by_the_assigned_weight():
+    # Greedy over all 100 levels pushes ranks 39 and 71 off their best states onto (2,5) and (4,6).
+    levels = converged_levels(DEFAULT_PARAMS, k=100).levels
     assert len(levels) == 100
     for rank, label in ((39, (2, 5)), (71, (4, 6))):
         level = levels[rank - 1]
@@ -1073,6 +1131,9 @@ def test_empty_schedule_holds_no_level(monkeypatch):
 
 
 def test_assignment_reference_labels(default_table):
+    # The table labels its 20 printed rows and keeps the 100 energies that D is taken over.
+    assert len(default_table.report.levels) == 20
+    assert len(default_table.report.energies) == 100
     labels = [(lvl.assigned.n1, lvl.assigned.n2) for lvl in default_table.report.levels]
     assert labels[:3] == [(0, 0), (1, 0), (0, 1)]
     assert len(set(labels)) == len(labels)

@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 #: Golden file name -> the command line whose stdout it holds.
 CASES = {
     "compare.csv": ["compare"],
+    "compare_rows40.csv": ["compare", "--rows", "40"],
     "levels.csv": ["levels"],
     "levels_k300.csv": ["levels", "--k", "300"],
     "levels_k500_digits10.csv": ["levels", "--k", "500", "--digits", "10"],
