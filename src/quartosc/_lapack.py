@@ -1,4 +1,4 @@
-"""The five LAPACK and BLAS routines quartosc calls, bound through ctypes.
+"""quartosc's LAPACK and BLAS boundary: five routines bound through ctypes, and their calls.
 
 scipy ships LAPACK and BLAS with a C-level API: its extension modules
 scipy.linalg.cython_lapack and scipy.linalg.cython_blas export every
@@ -11,6 +11,11 @@ routines are the ones scipy.linalg's own wrappers call, in the same
 library, so the same arguments give bitwise the same results.  A ctypes
 foreign call releases the GIL while it runs; the f2py wrappers behind
 scipy.linalg hold it.
+
+Every foreign call quartosc makes is made here, with its arguments,
+workspaces and info check: band_values (dsbevd), LUSlot (dgbtrf, dgbtrs,
+dsbmv) and pivots (dgeqp3); quartosc.diag keeps the numerics.  A negative
+info raises ValueError naming the routine (_check).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import scipy
 
 
@@ -80,11 +86,135 @@ dgbtrs = _bind(
     _lapack, "dgbtrs", _CHAR, _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _INT, _INT
 )
 #: dgeqp3(m, n, a, lda, jpvt, tau, work, lwork, info)
-dgeqp3 = _bind(
-    _lapack, "dgeqp3", _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _BUFFER, _INT, _INT
-)
+dgeqp3 = _bind(_lapack, "dgeqp3", _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _BUFFER, _INT, _INT)
 #: dsbmv(uplo, n, k, alpha, a, lda, x, incx, beta, y, incy)
 dsbmv = _bind(
-    _blas, "dsbmv",
-    _CHAR, _INT, _INT, _DOUBLE, _BUFFER, _INT, _BUFFER, _INT, _DOUBLE, _BUFFER, _INT,
+    _blas, "dsbmv", _CHAR, _INT, _INT, _DOUBLE, _BUFFER, _INT, _BUFFER, _INT, _DOUBLE, _BUFFER, _INT
 )
+
+
+class ConvergenceFailure(RuntimeError):
+    """LAPACK did not converge, or an inverse-iteration vector missed the rounding scale."""
+
+
+def _check(routine: str, info: ctypes.c_int) -> None:
+    """Raise ValueError if routine's info reports an illegal argument (info < 0)."""
+    if info.value < 0:
+        raise ValueError(f"{routine}: argument {-info.value} had an illegal value")
+
+
+def band_values(band: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a (b + 1, n) lower band, ascending.
+
+    LAPACK dsbevd with jobz 'N' (dsbtrd band reduction, then dsterf), with
+    the arguments scipy.linalg.eigvals_banded(band, lower=True) passes it,
+    so the values are bitwise that function's.  Raises ConvergenceFailure
+    if dsbevd does not converge.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
+    ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
+    w = np.empty(n)
+    z = np.empty(1)  # not referenced for jobz 'N'
+    work = np.empty(max(1, 2 * n))
+    iwork = np.empty(1, dtype=np.intc)
+    info = ctypes.c_int()
+    dsbevd(
+        b"N", b"L", ctypes.c_int(n), ctypes.c_int(b), ab.ctypes.data, ctypes.c_int(b + 1),
+        w.ctypes.data, z.ctypes.data, ctypes.c_int(1), work.ctypes.data, ctypes.c_int(len(work)),
+        iwork.ctypes.data, ctypes.c_int(1), ctypes.byref(info),
+    )
+    _check("dsbevd", info)
+    if info.value > 0:
+        raise ConvergenceFailure(f"dsbevd did not converge (LAPACK info={info.value})")
+    return w
+
+
+class LUSlot:
+    """Inverse iteration's workspace: lu, the (3b + 1, n) general band, n pivots, four n-vectors.
+
+    Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
+    0..b-1, which it does not read.  upper views lu so that upper[d, c] is
+    lu[2b - d, c + d], the place of H[c, c + d], the lower band written
+    through it fills the upper triangle, and its entries past column n - 1
+    land in b spare columns after lu's.  product reads band, a (b + 1, n)
+    lower band in Fortran order.  solve overwrites x, product writes H x
+    into hx; residual is the caller's.  The arguments of the three calls,
+    addresses included, are made once.
+    """
+
+    def __init__(self, b: int, n: int) -> None:
+        rows = 3 * b + 1
+        buffer = np.empty(rows * (n + b))
+        step = buffer.itemsize
+        self.lu = buffer[: rows * n].reshape((rows, n), order="F")
+        self.upper = np.ndarray(
+            (b + 1, n), buffer=buffer, offset=2 * b * step, strides=(3 * b * step, rows * step)
+        )
+        self.pivot = np.empty(n, dtype=np.intc)
+        self.x = np.empty(n)
+        self.info = ctypes.c_int()
+        n_, b_, ldab = ctypes.c_int(n), ctypes.c_int(b), ctypes.c_int(rows)
+        lu, pivot, info = self.lu.ctypes.data, self.pivot.ctypes.data, ctypes.byref(self.info)
+        self._factor_args = (n_, n_, b_, b_, lu, ldab, pivot, info)
+        x = self.x.ctypes.data
+        one = ctypes.c_int(1)
+        self._solve_args = (b"N", n_, b_, b_, one, lu, ldab, pivot, x, n_, info)
+        self.band = np.empty((b + 1, n), order="F")
+        self.hx = np.empty(n)
+        self.residual = np.empty(n)
+        self._product_args = (
+            b"L", n_, b_, ctypes.c_double(1.0), self.band.ctypes.data, ctypes.c_int(b + 1),
+            x, one, ctypes.c_double(0.0), self.hx.ctypes.data, one,
+        )
+
+    def factor(self, band: np.ndarray, shift: float, floor: float) -> None:
+        """Factor H - shift I, H given as its (b + 1, n) lower band, into lu by dgbtrf.
+
+        Pivots below floor are raised to it, sign kept, so an exactly singular
+        H - shift I (dgbtrf's info > 0, left in info) still solves.
+        """
+        lu = self.lu
+        b = band.shape[0] - 1
+        lu[2 * b :] = band  # H[c + d, c]
+        self.upper[...] = band  # H[c, c + d]
+        lu[2 * b] -= shift
+        dgbtrf(*self._factor_args)
+        _check("dgbtrf", self.info)
+        u = lu[2 * b]
+        if np.abs(u).min() < floor:  # rare: the masked floor costs more than this test
+            tiny = np.abs(u) < floor
+            u[tiny] = np.copysign(floor, u[tiny])
+
+    def solve(self) -> None:
+        """x = (H - shift I)^-1 x in place, by dgbtrs on the last factor's lu and pivots."""
+        dgbtrs(*self._solve_args)
+        _check("dgbtrs", self.info)
+
+    def product(self) -> None:
+        """hx = H x by dsbmv, bitwise scipy.linalg.blas.dsbmv(b, 1.0, band, x, lower=1)."""
+        self.hx.fill(0.0)  # the zeroed y that scipy.linalg.blas.dsbmv passes with beta 0
+        dsbmv(*self._product_args)
+
+
+def pivots(rows: np.ndarray) -> np.ndarray:
+    """The 0-based column order of rows' QR with column pivoting, by LAPACK dgeqp3.
+
+    The arguments are those scipy.linalg.qr(rows, pivoting=True) passes:
+    a Fortran copy of rows, jpvt zeroed so that every column is free, and
+    the workspace size that a first query returns; so the order is bitwise
+    its second result.
+    """
+    m, n = rows.shape
+    a = np.array(rows, order="F")  # dgeqp3 overwrites it
+    jpvt = np.zeros(n, dtype=np.intc)
+    tau = np.empty(min(m, n))
+    work = np.empty(1)
+    info = ctypes.c_int()
+    head = (ctypes.c_int(m), ctypes.c_int(n), a.ctypes.data, ctypes.c_int(m))
+    head += (jpvt.ctypes.data, tau.ctypes.data)
+    dgeqp3(*head, work.ctypes.data, ctypes.c_int(-1), ctypes.byref(info))  # workspace size query
+    _check("dgeqp3", info)
+    work = np.empty(int(work[0]))
+    dgeqp3(*head, work.ctypes.data, ctypes.c_int(len(work)), ctypes.byref(info))
+    _check("dgeqp3", info)
+    return jpvt - 1

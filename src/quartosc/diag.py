@@ -14,28 +14,24 @@ until the requested number of levels stops moving at the digit target.  A
 step's four bands are assembled, then solved concurrently by one map on a
 pool of up to min(4, usable CPUs) threads that converged_levels opens for
 its steps and joins before it returns, so no thread outlives a call.
-Every LAPACK and BLAS routine here (dsbevd, dgbtrf, dgbtrs, dsbmv,
-dgeqp3) is a ctypes foreign call, bound by quartosc._lapack to the one
-scipy exports, which releases the GIL; scipy.linalg itself is never
-imported.  Each step ranks its k lowest levels once, by one stable sort
-of all blocks' eigenvalues.  Only the accepted step takes eigenvectors,
-and only for the levels it labels: the lowest `labelled` of the k, all
-of them by default.  They come by inverse iteration on each band,
-shifted by the eigenvalues already found and scaled by a power of two,
-so that any valid g and hbar stay inside the exponent range; no n x n
-array is built.  That pass is one more map on the same pool, one job per
-block that holds a labelled level: the job solves the block's vectors in
-order, then runs the block's claim loop on them and returns the claims,
-so no vector array outlives its job.  The blocks share no basis state,
-so the labels are those of one claim loop over the labelled levels of
-all blocks; the calling thread turns the claims into levels.
-The jobs' factorizations, solves and residuals (dgbtrf, dgbtrs, dsbmv)
-run without the GIL, so the jobs overlap.
+Each step ranks its k lowest levels once, by one stable sort of all
+blocks' eigenvalues.  Only the accepted step takes eigenvectors, and only
+for the levels it labels: the lowest `labelled` of the k, all of them by
+default.  They come by inverse iteration on each band, shifted by the
+eigenvalues already found and scaled by a power of two, so that any valid
+g and hbar stay inside the exponent range; no n x n array is built.  That
+pass is one more map on the same pool, one job per block that holds a
+labelled level: the job solves the block's vectors in order, then runs
+the block's claim loop on them and returns the claims, so no vector array
+outlives its job.  The blocks share no basis state, so the labels are
+those of one claim loop over the labelled levels of all blocks; the
+calling thread turns the claims into levels.
+Every LAPACK and BLAS call is made by quartosc._lapack, which releases
+the GIL, so the jobs overlap, and never imports scipy.linalg.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 import os
@@ -45,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from ._lapack import ConvergenceFailure
 from .model import ModelError, ModelParams, QuantumNumbers, range_exponent
 from .quantum import ladder_factor
 
@@ -61,10 +58,6 @@ INVERSE_ITERATIONS = 5
 
 #: Levels whose assigned basis-state weight falls below this are flagged.
 AMBIGUOUS_WEIGHT = 0.4
-
-
-class ConvergenceFailure(RuntimeError):
-    """LAPACK did not converge, or an inverse-iteration vector missed the rounding scale."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -169,47 +162,17 @@ _WORKERS = min(
 )
 
 
-def _band_values(band: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a (b + 1, n) lower band, ascending.
-
-    LAPACK dsbevd with jobz 'N' (dsbtrd band reduction, then dsterf), with
-    the arguments scipy.linalg.eigvals_banded(band, lower=True) passes it,
-    so the values are bitwise that function's.  The ctypes call
-    (quartosc._lapack) releases the GIL.  Raises ConvergenceFailure if
-    dsbevd does not converge.
-    """
-    b, n = band.shape[0] - 1, band.shape[1]
-    ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
-    w = np.empty(n)
-    z = np.empty(1)  # not referenced for jobz 'N'
-    work = np.empty(max(1, 2 * n))
-    iwork = np.empty(1, dtype=np.intc)
-    info = ctypes.c_int()
-    _lapack.dsbevd(
-        b"N", b"L", ctypes.c_int(n), ctypes.c_int(b), ab.ctypes.data, ctypes.c_int(b + 1),
-        w.ctypes.data, z.ctypes.data, ctypes.c_int(1), work.ctypes.data, ctypes.c_int(len(work)),
-        iwork.ctypes.data, ctypes.c_int(1), ctypes.byref(info),
-    )
-    if info.value > 0:
-        raise ConvergenceFailure(f"dsbevd did not converge (LAPACK info={info.value})")
-    if info.value < 0:
-        raise ValueError(f"dsbevd: argument {-info.value} had an illegal value")
-    return w
-
-
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix given as its lower band, ascending.
 
     matrix[d, c] = H[c + d, c], as assemble_hamiltonian returns it.  The
-    values are _band_values' (LAPACK dsbevd, whose dsbtrd reduction is
-    O(n^2 b)), deterministic for a fixed input.  converged_levels calls
-    the kernels on its pool instead: _band_values for each step's blocks,
-    then _band_eigenvectors in each accepted block's job.
+    values are _lapack.band_values' (dsbevd, O(n^2 b)), which
+    converged_levels calls on its pool for each step's blocks instead.
     """
     band = np.asarray(matrix, dtype=float)
     if band.ndim != 2 or band.shape[0] > band.shape[1]:
         raise ValueError(f"expected a (b + 1, n) band with b < n, got shape {band.shape}")
-    return _band_values(band)
+    return _lapack.band_values(band)
 
 
 def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -220,20 +183,17 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     and band entries below eps max|E| / n are dropped from the
     factorization.  Inverse iteration as LAPACK's dstein does it: per
     eigenvalue, in order, one LU factorization of H - lambda I in general
-    band storage (_factor: dgbtrf, pivots below eps max|E| raised to it),
-    then band solves (dgbtrs) from a seeded start vector, each followed by
-    Gram-Schmidt against the earlier vectors of its cluster (gaps below
-    1e-3 max|E|; skipped while the cluster has none), until the residual
-    |Hx - lambda x|, with Hx from BLAS dsbmv, is at the rounding scale
-    ROUNDING_FACTOR eps max|E|.  All three are ctypes calls
-    (quartosc._lapack), which release the GIL, into buffers made once per
-    pass (_LUSlot).  The start vectors are one draw of default_rng(0), the
+    band storage (pivots below eps max|E| raised to it), then band solves
+    from a seeded start vector, each followed by Gram-Schmidt against the
+    earlier vectors of its cluster (gaps below 1e-3 max|E|; skipped while
+    the cluster has none), until the residual |Hx - lambda x| is at the
+    rounding scale ROUNDING_FACTOR eps max|E|.  Factorization, solve and
+    Hx are the calls of one quartosc._lapack.LUSlot per pass (dgbtrf,
+    dgbtrs, dsbmv).  The start vectors are one draw of default_rng(0), the
     same stream as one draw of n per vector, made into the array that
     returns the vectors: row j is copied into the solve buffer, and its
-    finished vector written back over it.  dsbmv gets the arguments
-    scipy.linalg.blas.dsbmv(b, 1.0, band, x, lower=1) passes, so Hx is
-    bitwise that function's.  Each run of eigenvalues no more than
-    eps max|E| apart then gets a canonical basis of its eigenspace
+    finished vector written back over it.  Each run of eigenvalues no more
+    than eps max|E| apart then gets a canonical basis of its eigenspace
     (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
     rounding scale within INVERSE_ITERATIONS solves, or if a run's basis
     cannot be formed (LinAlgError).
@@ -242,7 +202,7 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
     # solves, which grow x by up to 1 / (eps max|E|), cannot overflow.
     exponent = -np.frexp(max(abs(values[0]), abs(values[-1])))[1]
-    slot = _LUSlot(b, n)
+    slot = _lapack.LUSlot(b, n)
     lower = np.ldexp(band, exponent, out=slot.band)
     shifts = np.ldexp(values, exponent)
     scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
@@ -259,18 +219,17 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     for j, shift in enumerate(shifts[:count]):
         if j and shift - shifts[j - 1] > 1e-3 * scale:
             first = j
-        _factor(slot, kept, shift, floor)
+        slot.factor(kept, shift, floor)
         x[:] = vectors[j]
         cluster = vectors[first:j]
         for solve in range(INVERSE_ITERATIONS):
-            _lapack.dgbtrs(*slot.solve_args)  # x = (H - shift I)^-1 x, in place
+            slot.solve()  # x = (H - shift I)^-1 x, in place
             if first < j:  # an empty cluster would subtract an exact zero vector
                 x -= (cluster @ x) @ cluster
             x /= _norm(x)
             if not solve:
                 continue  # the first solve leaves the factorization's rounding, over the gap
-            hx.fill(0.0)  # the zeroed y that scipy.linalg.blas.dsbmv passes with beta 0
-            _lapack.dsbmv(*slot.residual_args)  # hx = H x
+            slot.product()  # hx = H x
             np.subtract(hx, np.multiply(shift, x, out=residual), out=residual)
             if _norm(residual) <= ROUNDING_FACTOR * floor:
                 break
@@ -290,68 +249,6 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     return vectors.T
 
 
-class _LUSlot:
-    """The vector pass's workspace: lu, the (3b + 1, n) general band, n pivots, three n-vectors.
-
-    Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
-    0..b-1, which it does not read.  upper views lu so that upper[d, c] is
-    lu[2b - d, c + d], the place of H[c, c + d]: the lower band written
-    through it fills the upper triangle.  Its entries past column n - 1 land
-    in b spare columns after lu's.  band holds the scaled (b + 1, n) lower
-    band, in Fortran order.  x is the vector that dgbtrs solves in place,
-    the residual's dsbmv writes H x into hx, and residual takes H x -
-    shift x.  The LAPACK and BLAS arguments, addresses included, are made
-    once, and serve every vector of the pass.
-    """
-
-    def __init__(self, b: int, n: int) -> None:
-        rows = 3 * b + 1
-        buffer = np.empty(rows * (n + b))
-        step = buffer.itemsize
-        self.lu = buffer[: rows * n].reshape((rows, n), order="F")
-        self.upper = np.ndarray(
-            (b + 1, n), buffer=buffer, offset=2 * b * step, strides=(3 * b * step, rows * step)
-        )
-        self.pivot = np.empty(n, dtype=np.intc)
-        self.x = np.empty(n)
-        self.info = ctypes.c_int()
-        n_, b_, ldab = ctypes.c_int(n), ctypes.c_int(b), ctypes.c_int(rows)
-        lu, pivot, info = self.lu.ctypes.data, self.pivot.ctypes.data, ctypes.byref(self.info)
-        self.factor_args = (n_, n_, b_, b_, lu, ldab, pivot, info)
-        x = self.x.ctypes.data
-        one = ctypes.c_int(1)
-        self.solve_args = (b"N", n_, b_, b_, one, lu, ldab, pivot, x, n_, info)
-        self.band = np.empty((b + 1, n), order="F")
-        self.hx = np.empty(n)
-        self.residual = np.empty(n)
-        self.residual_args = (
-            b"L", n_, b_, ctypes.c_double(1.0), self.band.ctypes.data, ctypes.c_int(b + 1),
-            x, one, ctypes.c_double(0.0), self.hx.ctypes.data, one,
-        )
-
-
-def _factor(slot: _LUSlot, band: np.ndarray, shift: float, floor: float) -> None:
-    """Factor H - shift I, H given as its (b + 1, n) lower band, into slot by dgbtrf.
-
-    Pivots below floor are raised to it, sign kept, so an exactly singular
-    H - lambda I (dgbtrf's info > 0) still solves.  The masked raise runs
-    only when the smallest |pivot| is below floor, which one reduction
-    tests.  The LAPACK call releases the GIL.
-    """
-    lu = slot.lu
-    b = band.shape[0] - 1
-    lu[2 * b :] = band  # H[c + d, c]
-    slot.upper[...] = band  # H[c, c + d]
-    lu[2 * b] -= shift
-    _lapack.dgbtrf(*slot.factor_args)
-    if slot.info.value < 0:
-        raise ValueError(f"dgbtrf: argument {-slot.info.value} had an illegal value")
-    u = lu[2 * b]
-    if np.abs(u).min() < floor:  # rare: the masked floor costs more than this test
-        tiny = np.abs(u) < floor
-        u[tiny] = np.copysign(floor, u[tiny])
-
-
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a real vector, bitwise: the root of v.dot(v), without its dispatch."""
     return math.sqrt(v.dot(v))
@@ -360,40 +257,16 @@ def _norm(v: np.ndarray) -> float:
 def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the same space, independent of the given basis.
 
-    Pivoted QR (_pivots: LAPACK dgeqp3, bitwise the column order of
-    scipy.linalg.qr with pivoting) picks m well-conditioned columns, that
+    Pivoted QR (_lapack.pivots: LAPACK dgeqp3, bitwise the column order
+    of scipy.linalg.qr with pivoting) picks m well-conditioned columns, that
     is, basis states; the span's unique basis that is the identity on them,
     in column order, is then orthonormalized by Gram-Schmidt.  Where the
     span is that of m unit vectors, as for exactly degenerate uncoupled
     states, those come back.
     """
-    picked = np.sort(_pivots(rows)[: len(rows)])
+    picked = np.sort(_lapack.pivots(rows)[: len(rows)])
     q, r = np.linalg.qr(np.linalg.solve(rows[:, picked], rows).T)
     return (q * np.copysign(1.0, np.diagonal(r))).T
-
-
-def _pivots(rows: np.ndarray) -> np.ndarray:
-    """The 0-based column order of rows' QR with column pivoting, by LAPACK dgeqp3.
-
-    The arguments are those scipy.linalg.qr(rows, pivoting=True) passes:
-    a Fortran copy of rows, jpvt zeroed so that every column is free, and
-    the workspace size that a first query returns; so the order is bitwise
-    its second result.  The calls release the GIL.
-    """
-    m, n = rows.shape
-    a = np.array(rows, order="F")  # dgeqp3 overwrites it
-    jpvt = np.zeros(n, dtype=np.intc)
-    tau = np.empty(min(m, n))
-    work = np.empty(1)
-    info = ctypes.c_int()
-    head = (ctypes.c_int(m), ctypes.c_int(n), a.ctypes.data, ctypes.c_int(m))
-    head += (jpvt.ctypes.data, tau.ctypes.data)
-    _lapack.dgeqp3(*head, work.ctypes.data, ctypes.c_int(-1), ctypes.byref(info))  # size query
-    work = np.empty(int(work[0]))
-    _lapack.dgeqp3(*head, work.ctypes.data, ctypes.c_int(len(work)), ctypes.byref(info))
-    if info.value < 0:
-        raise ValueError(f"dgeqp3: argument {-info.value} had an illegal value")
-    return jpvt - 1
 
 
 @dataclass(frozen=True)
@@ -435,12 +308,12 @@ def _block_spectra(params: ModelParams, n_max: int, pool: ThreadPoolExecutor):
     """Per-parity-block (eigenvalues, band, block) for the square cut at n_max.
 
     The four bands are assembled, then solved concurrently by one pool.map,
-    in block order.  The workers call only the private _band_values: a
-    public function may be wrapped by a tracer that keeps one span stack.
+    in block order.  The workers call only the private _lapack.band_values:
+    a public function may be wrapped by a tracer that keeps one span stack.
     """
     blocks = split_parity_blocks(build_basis(n_max))
     bands = [assemble_hamiltonian(block, params) for block in blocks]
-    return list(zip(pool.map(_band_values, bands), bands, blocks))
+    return list(zip(pool.map(_lapack.band_values, bands), bands, blocks))
 
 
 def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[SpectrumLevel, ...]:
@@ -496,12 +369,7 @@ def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
     """The levels that a block's claims (_claim) label, as assign_quantum_numbers builds them."""
     states = block.states
     return [
-        SpectrumLevel(
-            rank=int(ranks[j]),
-            energy=float(values[j]),
-            assigned=QuantumNumbers(*states[i]),
-            overlap_weight=weight,
-        )
+        SpectrumLevel(int(ranks[j]), float(values[j]), QuantumNumbers(*states[i]), weight)
         for j, i, weight in claims
     ]
 
@@ -512,8 +380,7 @@ def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
     job is (values, band, block, ranks), values all the band's eigenvalues,
     ascending; kth is the highest labelled level's energy.  Vectors are
     solved for every value up to kth, which keeps a degenerate run cut at
-    that level whole for _canonical_basis, and are dropped when the job
-    returns.
+    that level whole for _canonical_basis, and dropped when the job returns.
     It runs on a pool thread, so it calls only private functions and builds
     no QuantumNumbers: a tracer may wrap the public ones with one span stack
     and count constructions without a lock.

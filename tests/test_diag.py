@@ -1,3 +1,4 @@
+import ast
 import decimal
 import itertools
 import math
@@ -23,6 +24,7 @@ from quartosc.diag import (
     ConvergenceFailure,
     MatrixOverflow,
     SpectrumLevel,
+    UnresolvableDigits,
     _block_spectra,
     assemble_hamiltonian,
     assign_quantum_numbers,
@@ -32,7 +34,7 @@ from quartosc.diag import (
     split_parity_blocks,
     symmetric_eigenvalues,
 )
-from quartosc.model import DEFAULT_PARAMS, ModelParams, QuantumNumbers
+from quartosc.model import DEFAULT_PARAMS, ModelError, ModelParams, QuantumNumbers
 from quartosc.oracles import v_matrix_element
 from quartosc.quantum import e0_quantum
 
@@ -139,7 +141,7 @@ def _merged(params, n_max):
 
 def _eigenpairs(band, count):
     """The count lowest eigenvalues of a lower band and their vectors, by the pipeline's kernels."""
-    values = diag._band_values(band)
+    values = _lapack.band_values(band)
     return values[:count], diag._band_eigenvectors(band, values, count)
 
 
@@ -483,7 +485,7 @@ def test_band_values_are_bitwise_eigvals_banded(params):
         for block in split_parity_blocks(build_basis(n_max)):
             band = assemble_hamiltonian(block, params)
             oracle = scipy.linalg.eigvals_banded(band, lower=True, check_finite=False)
-            assert np.array_equal(diag._band_values(band), oracle)
+            assert np.array_equal(_lapack.band_values(band), oracle)
 
 
 def test_converged_levels_independent_of_the_worker_count(monkeypatch):
@@ -528,7 +530,7 @@ def test_pipelined_vector_pass_under_thread_pressure_is_bitwise_the_sequential(m
 
 
 def _f2py_factor(band, shift, floor):
-    """dgbtrf through scipy.linalg.lapack's f2py wrapper: the oracle for diag._factor."""
+    """dgbtrf through scipy.linalg.lapack's f2py wrapper: the oracle for _lapack.LUSlot.factor."""
     b, n = band.shape[0] - 1, band.shape[1]
     lu = np.zeros((3 * b + 1, n), order="F")  # row 2b + i - j holds H[i, j]
     for d in range(b + 1):
@@ -545,36 +547,36 @@ def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
     for block in split_parity_blocks(build_basis(69)):
         band = assemble_hamiltonian(block, DEFAULT_PARAMS)
         b, n = band.shape[0] - 1, band.shape[1]
-        values = diag._band_values(band)
+        values = _lapack.band_values(band)
         floor = np.finfo(float).eps * abs(values[-1])
-        slot = diag._LUSlot(b, n)
+        slot = _lapack.LUSlot(b, n)
         slot.lu.fill(np.nan)  # a reused buffer's stale entries must not matter
         # Row 2b + i - j holds U[i, j]: rows above 2b - j lie before the matrix's first row.
         used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
         rhs = np.random.default_rng(1).uniform(-1.0, 1.0, n)
         for shift in (values[0], values[7], 0.5 * (values[40] + values[41])):
             lu, pivot = _f2py_factor(band, shift, floor)
-            diag._factor(slot, band, shift, floor)
+            slot.factor(band, shift, floor)
             assert np.array_equal(slot.pivot - 1, pivot)  # f2py returns them 0-based
             assert np.array_equal(slot.lu[used], lu[used])
             x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
             slot.x[:] = rhs
-            _lapack.dgbtrs(*slot.solve_args)
+            slot.solve()
             assert np.array_equal(slot.x, x)
 
 
 def test_exactly_singular_shift_gets_its_zero_pivot_raised_to_the_floor():
     # At g=0 the band is diagonal, so shifting it by a diagonal entry leaves an
-    # exact zero pivot (dgbtrf's info > 0); _factor raises it to the floor, as
+    # exact zero pivot (dgbtrf's info > 0); LUSlot.factor raises it to the floor, as
     # the f2py oracle does.
     params = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], params)
     b, n = band.shape[0] - 1, band.shape[1]
     floor = np.finfo(float).eps * band[0].max()
     used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
-    slot = diag._LUSlot(b, n)
+    slot = _lapack.LUSlot(b, n)
     for c in (0, 5, n - 1):
-        diag._factor(slot, band, band[0, c], floor)
+        slot.factor(band, band[0, c], floor)
         assert slot.info.value == c + 1  # dgbtrf met U[c, c] = 0
         lu, pivot = _f2py_factor(band, band[0, c], floor)
         assert np.array_equal(slot.pivot - 1, pivot)
@@ -589,27 +591,26 @@ def test_ctypes_band_product_is_bitwise_the_f2py_wrapper(n_max):
     for block in split_parity_blocks(build_basis(n_max)):
         band = assemble_hamiltonian(block, DEFAULT_PARAMS)
         b, n = band.shape[0] - 1, band.shape[1]
-        values = diag._band_values(band)
-        slot = diag._LUSlot(b, n)
+        values = _lapack.band_values(band)
+        slot = _lapack.LUSlot(b, n)
         # The scaled band of the vector pass, max|E| in [0.5, 1).
         np.ldexp(band, -np.frexp(abs(values[-1]))[1], out=slot.band)
         for _ in range(3):
             slot.x[:] = rng.uniform(-1.0, 1.0, n)
-            slot.hx.fill(0.0)
-            _lapack.dsbmv(*slot.residual_args)
+            slot.product()
             oracle = scipy.linalg.blas.dsbmv(b, 1.0, slot.band, slot.x, lower=1)
             assert np.array_equal(slot.hx, oracle)
 
 
 def _degenerate_runs(monkeypatch):
     """The rows that _canonical_basis pivots on in `levels --g 0 --omega2 0.5`."""
-    runs, original = [], diag._pivots
+    runs, original = [], _lapack.pivots
 
     def spy(rows):
         runs.append(rows.copy())
         return original(rows)
 
-    monkeypatch.setattr(diag, "_pivots", spy)
+    monkeypatch.setattr(_lapack, "pivots", spy)
     converged_levels(ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0))
     monkeypatch.undo()
     return runs
@@ -626,7 +627,7 @@ def test_ctypes_pivoted_qr_is_bitwise_scipy_qr(monkeypatch):
     assert len(runs) > 10
     for rows in [*runs, *_rank_deficient_rows()]:
         pivots = scipy.linalg.qr(rows, mode="r", pivoting=True)[1]
-        assert np.array_equal(diag._pivots(rows), pivots)
+        assert np.array_equal(_lapack.pivots(rows), pivots)
 
 
 
@@ -661,14 +662,58 @@ def test_lapack_binding_falls_back_to_importing_scipy_linalg(tmp_path):
     assert report == fast
 
 
-def test_factorization_argument_error_raises_value_error(monkeypatch):
-    def illegal(*args):
-        args[-1]._obj.value = -6  # dgbtrf's info: its sixth argument, ldab, is illegal
+def _illegal_on_call(routine, call, argument):
+    """_lapack's routine, but its call-th call reports argument as illegal (info = -argument)."""
+    real, calls = getattr(_lapack, routine), itertools.count()
 
-    monkeypatch.setattr(_lapack, "dgbtrf", illegal)
+    def illegal(*args):
+        real(*args)
+        if next(calls) == call:
+            args[-1]._obj.value = -argument  # info, passed by reference
+
+    return illegal
+
+
+def test_factorization_argument_error_raises_value_error(monkeypatch):
+    # Every call's negative info raises the one ValueError naming its routine,
+    # dgeqp3's workspace query (its first call) included.
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
-    with pytest.raises(ValueError, match="dgbtrf: argument 6 had an illegal value"):
-        _eigenpairs(band, 10)
+    rows = np.random.default_rng(3).standard_normal((3, 10))
+    cases = [
+        ("dsbevd", 0, 6, lambda: symmetric_eigenvalues(band)),  # ldab
+        ("dgbtrf", 0, 6, lambda: _eigenpairs(band, 10)),  # ldab
+        ("dgbtrs", 0, 7, lambda: _eigenpairs(band, 10)),  # ldab
+        ("dgeqp3", 0, 4, lambda: diag._canonical_basis(rows)),  # lda, in the query
+        ("dgeqp3", 1, 8, lambda: diag._canonical_basis(rows)),  # lwork
+    ]
+    for routine, call, argument, run in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(_lapack, routine, _illegal_on_call(routine, call, argument))
+            message = f"^{routine}: argument {argument} had an illegal value$"
+            with pytest.raises(ValueError, match=message):
+                run()
+
+
+def test_digits_beyond_double_precision_raise_unresolvable_digits():
+    with pytest.raises(UnresolvableDigits, match="^16 digits is beyond double precision"):
+        converged_levels(DEFAULT_PARAMS, k=3, digits=16)
+    assert issubclass(UnresolvableDigits, ModelError)  # so the CLI exits 2
+
+
+def test_only_the_lapack_module_imports_ctypes():
+    # quartosc._lapack owns the LAPACK/BLAS boundary: no other module makes a foreign call.
+    importers = set()
+    for path in Path(diag.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.partition(".")[0] == "ctypes" for module in modules):
+                importers.add(path.name)
+    assert importers == {"_lapack.py"}
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2])
@@ -720,13 +765,13 @@ def test_worker_failure_raises_convergence_failure(monkeypatch):
 def test_each_call_joins_its_pool_threads(monkeypatch):
     # Each call has its own pool: its threads serve every step of that call,
     # and none outlives it.
-    original, workers = diag._band_values, []
+    original, workers = _lapack.band_values, []
 
     def spy_values(band):
         workers.append(threading.current_thread())
         return original(band)
 
-    monkeypatch.setattr(diag, "_band_values", spy_values)
+    monkeypatch.setattr(_lapack, "band_values", spy_values)
     before = threading.active_count()
     for _ in range(3):
         assert converged_levels(DEFAULT_PARAMS, k=20).final_n_max == 24  # steps 14, 19, 24
@@ -747,14 +792,14 @@ def test_vector_factorizations_run_on_the_calls_own_pool_threads(monkeypatch):
             super().__init__(*args, **kwargs)
             pools.append(self)
 
-    original = diag._factor
+    original = _lapack.LUSlot.factor
 
     def spy_factor(*args):
         factored_on.append((len(pools), threading.current_thread()))
         return original(*args)
 
     monkeypatch.setattr(diag, "ThreadPoolExecutor", RecordedPool)
-    monkeypatch.setattr(diag, "_factor", spy_factor)
+    monkeypatch.setattr(_lapack.LUSlot, "factor", spy_factor)
     before = threading.active_count()
     for _ in range(2):
         assert len(converged_levels(DEFAULT_PARAMS, k=20).levels) == 20
@@ -832,7 +877,7 @@ def test_converged_levels_reference_run(default_table):
 
 def test_each_schedule_step_solved_once(monkeypatch):
     assembled, values_solved, vectors_solved = [], [], []
-    original_assemble, original_values = diag.assemble_hamiltonian, diag._band_values
+    original_assemble, original_values = diag.assemble_hamiltonian, _lapack.band_values
     original_vectors = diag._band_eigenvectors
 
     def spy_assemble(block, params):
@@ -849,7 +894,7 @@ def test_each_schedule_step_solved_once(monkeypatch):
         return original_vectors(band, values, count)
 
     monkeypatch.setattr(diag, "assemble_hamiltonian", spy_assemble)
-    monkeypatch.setattr(diag, "_band_values", spy_values)
+    monkeypatch.setattr(_lapack, "band_values", spy_values)
     monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
     report = converged_levels(DEFAULT_PARAMS)
     monkeypatch.undo()
