@@ -161,18 +161,14 @@ def _emit(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _dump_final_matrix(params: ModelParams, n_max: int, path: str) -> None:
-    matrix = diag.assemble_hamiltonian(diag.build_basis(n_max), params)
-    with _naming("writing", path):
-        diag.dump_matrix_triplets(matrix, path)
-
-
 def _cmd_levels(args: argparse.Namespace) -> int:
     params, values = _resolve(args)
     result = diag.converged_levels(params, k=values["k"], digits=values["digits"])
     _emit(report.render_levels_csv(result.levels), args.out)
     if args.dump_matrix:
-        _dump_final_matrix(params, result.final_n_max, args.dump_matrix)
+        matrix = diag.assemble_hamiltonian(diag.build_basis(result.final_n_max), params)
+        with _naming("writing", args.dump_matrix):
+            diag.dump_matrix_triplets(matrix, args.dump_matrix)
     return EXIT_OK
 
 
@@ -182,8 +178,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _emit(report.render_comparison_csv(table.rows), args.out)
     if args.json:
         _emit(report.render_json(table), args.json)
-    if args.dump_matrix:
-        _dump_final_matrix(params, table.report.final_n_max, args.dump_matrix)
     return EXIT_OK
 
 
@@ -200,7 +194,7 @@ _COMMANDS = {
     "levels": (_cmd_levels, "converged exact levels with labels",
                ("omega1", "omega2", "g", "hbar", "k", "digits", "dump-matrix")),
     "compare": (_cmd_compare, "exact vs semiclassical vs perturbative table",
-                ("omega1", "omega2", "g", "hbar", "digits", "rows", "json", "dump-matrix")),
+                ("omega1", "omega2", "g", "hbar", "digits", "rows", "json")),
     "scan-hbar": (_cmd_scan_hbar, "semiclassical error across hbar values",
                   ("omega1", "omega2", "g", "rows", "hbars")),
 }

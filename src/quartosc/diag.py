@@ -56,12 +56,9 @@ ROUNDING_FACTOR = 100.0
 #: Cap on the inverse-iteration solves per eigenvector (LAPACK dstein's MAXITS).
 INVERSE_ITERATIONS = 5
 
-#: Levels whose assigned basis-state weight falls below this are flagged.
-AMBIGUOUS_WEIGHT = 0.4
-
 
 class BudgetExceeded(RuntimeError):
-    """No scheduled basis holds the levels, or SCHEDULE ended before they converged."""
+    """No two scheduled bases hold the levels, or SCHEDULE ended before they converged."""
 
 
 class UnresolvableDigits(ModelError):
@@ -274,7 +271,8 @@ class SpectrumLevel:
     """One converged level with its assigned label.
 
     overlap_weight is the squared eigenvector component on the assigned
-    basis state.
+    basis state.  A weight of at most 1/2 is ambiguous: only then can the
+    label depend on which levels were labelled with it (the bound in _claim).
     """
 
     rank: int
@@ -284,8 +282,8 @@ class SpectrumLevel:
 
     @property
     def ambiguous(self) -> bool:
-        """The assigned basis state carries less than AMBIGUOUS_WEIGHT of the level."""
-        return self.overlap_weight < AMBIGUOUS_WEIGHT
+        """The assigned basis state carries at most 1/2 of the level."""
+        return self.overlap_weight <= 0.5
 
 
 @dataclass(frozen=True)
@@ -329,8 +327,8 @@ def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[Sp
     state, so the labels have no duplicates.  Parity blocks share no basis
     state, so claims never meet across blocks, and the labels of all
     blocks together are those of one such loop over all ranked levels.  A
-    level is ambiguous when the weight of the state it ends up with is
-    below AMBIGUOUS_WEIGHT.  The levels come in claim order, and the input
+    level is ambiguous when the weight of the state it ends up with is at
+    most 1/2 (see _claim).  The levels come in claim order, and the input
     arrays are not modified.  The loop is _claim; converged_levels runs it
     in each block's job.
     """
@@ -347,7 +345,11 @@ def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
     whose state is still unclaimed, takes that state without a sort: a
     unique maximum is the last entry of any argsort of the row.  Any
     other level walks its argsort, largest first, so the claims are
-    those of that walk for every level.
+    those of that walk for every level.  The vectors of a block are
+    complete and orthonormal, so at most one level holds more than 1/2
+    of a state: a level of peak above 1/2 takes its argmax whichever
+    levels are in the loop, and only one of weight at most 1/2 can be
+    pushed off it.
     """
     weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
     peaks = weights.max(axis=1)
@@ -410,11 +412,11 @@ def converged_levels(
     its block's vectors on the retained band and returns the block's
     claims, and the calling thread builds the levels from them.  The pool
     is joined before the call returns or raises.  Raises ValueError unless
-    1 <= labelled <= k, BudgetExceeded when no scheduled basis
-    holds k levels or the schedule ends unconverged, and UnresolvableDigits
-    at the first step where the smallest threshold is no larger than
-    ROUNDING_FACTOR * eps * max|E|, the eigensolver's rounding scale, or
-    the lowest level is subnormal.
+    1 <= labelled <= k, BudgetExceeded when fewer than two scheduled
+    bases hold k levels (the stopping rule compares two) or the schedule
+    ends unconverged, and UnresolvableDigits at the first step where the
+    smallest threshold is no larger than ROUNDING_FACTOR * eps * max|E|,
+    the eigensolver's rounding scale, or the lowest level is subnormal.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -424,9 +426,12 @@ def converged_levels(
     if not 1 <= labelled <= k:
         raise ValueError(f"labelled must be in 1..k={k}, got {labelled}")
 
-    held = (SCHEDULE[-1] + 1) ** 2 if SCHEDULE else 0
+    held = (SCHEDULE[-2] + 1) ** 2 if len(SCHEDULE) > 1 else 0
     if held < k:
-        raise BudgetExceeded(f"{k} levels requested, but no scheduled basis holds more than {held}")
+        raise BudgetExceeded(
+            f"{k} levels requested, but at most {held} can converge: "
+            "the stopping rule needs two scheduled bases that hold them"
+        )
 
     previous = None
     history: list[tuple[int, float]] = []

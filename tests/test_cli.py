@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -98,6 +99,9 @@ def test_vector_failure_on_the_pool_exits_3_and_joins_its_threads(capsys, monkey
         ["levels", "--k", "10000000000000000000"],
         ["compare", "--rows", "10000000000000000000"],
         ["levels", "--k", "6401"],
+        # Only n_max 79 holds these, and the stopping rule needs a second basis.
+        ["levels", "--k", "5626"],
+        ["compare", "--rows", "5626"],
     ],
 )
 def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
@@ -110,7 +114,8 @@ def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == (
-        f"error: {argv[-1]} levels requested, but no scheduled basis holds more than 6400\n"
+        f"error: {argv[-1]} levels requested, but at most 5625 can converge: "
+        "the stopping rule needs two scheduled bases that hold them\n"
     )
 
 
@@ -372,6 +377,8 @@ def test_error_message_names_its_cause(capsys, argv, cause):
         # compare converges max(100, --rows) levels on its own.
         ["compare", "--k", "1.5"],
         ["compare", "--k", "300"],
+        # levels --k max(100, --rows) dumps the matrix compare accepts.
+        ["compare", "--dump-matrix", "h.txt"],
     ],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
@@ -392,6 +399,17 @@ def test_each_command_takes_exactly_its_table_flags():
     for name, (_, _, flags) in cli._COMMANDS.items():
         options = {s for action in sub.choices[name]._actions for s in action.option_strings}
         assert options == {f"--{key}" for key in flags} | {"--out", "--config", "-h", "--help"}
+
+
+def test_readme_lists_each_commands_table_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Flags per command:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = section.replace("\n  ", " ").splitlines()
+    listed = {}
+    for bullet in bullets:
+        name, _, flags = bullet.partition(": ")
+        listed[name.strip("- `")] = tuple(re.findall(r"--([a-z0-9-]+)", flags))
+    assert listed == {name: flags for name, (_, _, flags) in cli._COMMANDS.items()}
 
 
 def test_config_file_with_flag_precedence(capsys, tmp_path):

@@ -811,7 +811,7 @@ def test_vector_factorizations_run_on_the_calls_own_pool_threads(monkeypatch):
     assert not any(t.is_alive() for pool in pools for t in pool._threads)
 
 
-@pytest.mark.parametrize(("k", "first"), [(1, 14), (225, 14), (226, 19), (500, 24), (6400, 79)])
+@pytest.mark.parametrize(("k", "first"), [(1, 14), (225, 14), (226, 19), (500, 24), (5625, 74)])
 def test_schedule_starts_at_the_first_basis_holding_k_levels(monkeypatch, k, first):
     class Solved(Exception):
         pass
@@ -1036,6 +1036,43 @@ def test_labelled_levels_are_one_claim_loop_over_them_alone(monkeypatch, params,
     assert report.levels == _assign_global(lowest, m)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT_PARAMS,
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.3, hbar=1.0),
+        ModelParams(omega1=1.0, omega2=0.3, g=0.2, hbar=1.0),
+        _SQRT3_HBAR01,
+    ],
+    ids=["default", "hbar0.1", "g0.3", "omega2_0.3", "sqrt3"],
+)
+def test_labels_above_one_half_hold_their_argmax_in_every_claim_loop(params):
+    # At most one level holds more than 1/2 of a state, so such a level takes its
+    # argmax whichever levels are labelled with it; any label that moves is flagged.
+    full = converged_levels(params, k=100)
+    with ThreadPoolExecutor() as pool:
+        spectra = _block_spectra(params, full.final_n_max, pool)
+    merged = np.concatenate([w for w, _, _ in spectra])
+    block_of = np.repeat(range(len(spectra)), [len(w) for w, _, _ in spectra])
+    block_of = block_of[np.argsort(merged, kind="stable")[:100]]
+    argmax = {}  # rank -> the basis state of its eigenvector's largest component
+    for i, (w, h, block) in enumerate(spectra):
+        ranks = np.flatnonzero(block_of == i) + 1
+        if len(ranks):
+            vectors = diag._band_eigenvectors(h, w, len(ranks))
+            for j, rank in enumerate(ranks.tolist()):
+                argmax[rank] = QuantumNumbers(*block.states[int(np.argmax(vectors[:, j] ** 2))])
+    for m in (1, 5, 20, 39, 40, 72, 99, 100):
+        for level, whole in zip(converged_levels(params, k=100, labelled=m).levels, full.levels):
+            assert level.ambiguous == (level.overlap_weight <= 0.5)
+            if level.overlap_weight > 0.5 or whole.overlap_weight > 0.5:
+                assert level == whole
+                assert level.assigned == argmax[level.rank]
+            elif level.assigned != whole.assigned:
+                assert level.ambiguous and whole.ambiguous
+
+
 @pytest.mark.parametrize("labelled", [0, 101])
 def test_labelled_outside_one_to_k_is_rejected(labelled):
     with pytest.raises(ValueError, match=f"labelled must be in 1..k=100, got {labelled}$"):
@@ -1133,16 +1170,17 @@ def test_flagged_by_the_assigned_weight():
     for rank, label in ((39, (2, 5)), (71, (4, 6))):
         level = levels[rank - 1]
         assert (level.assigned.n1, level.assigned.n2) == label
-        assert level.overlap_weight < diag.AMBIGUOUS_WEIGHT and level.ambiguous
+        assert level.overlap_weight <= 0.5 and level.ambiguous
 
 
 def test_ambiguous_is_derived_from_the_weight():
-    # A level cannot contradict its own weight: the flag is not a field.
+    # A level cannot contradict its own weight: the flag is not a field.  Two levels
+    # can each hold exactly half of a state, so 1/2 itself is flagged.
     def level(weight, **extra):
         return SpectrumLevel(1, 1.0, QuantumNumbers(0, 0), weight, **extra)
 
-    assert not level(diag.AMBIGUOUS_WEIGHT).ambiguous
-    assert level(math.nextafter(diag.AMBIGUOUS_WEIGHT, 0.0)).ambiguous
+    assert level(0.5).ambiguous
+    assert not level(math.nextafter(0.5, 1.0)).ambiguous
     with pytest.raises(TypeError):
         level(1.0, ambiguous=True)
 
@@ -1171,7 +1209,7 @@ def test_converged_levels_budget(monkeypatch):
 
 def test_empty_schedule_holds_no_level(monkeypatch):
     monkeypatch.setattr(diag, "SCHEDULE", range(0))
-    with pytest.raises(BudgetExceeded, match="holds more than 0$"):
+    with pytest.raises(BudgetExceeded, match="at most 0 can converge: "):
         converged_levels(PARAMS, k=1)
 
 

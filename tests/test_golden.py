@@ -78,15 +78,21 @@ def test_matrix_dump_is_byte_identical_to_golden(name, tmp_path):
     assert pin == json.loads(DUMP_PINS.read_text())[name]
 
 
-@pytest.mark.parametrize(
-    ("name", "argv"),
-    [("levels", ["compare"]), ("levels_hbar0.1", ["compare", "--hbar", "0.1"])],
-)
-def test_compare_dumps_the_matrix_that_levels_dumps(name, argv, tmp_path):
-    # Both commands accept the same step at these inputs, so both dump one matrix.
-    code, pin = _dump_pin(argv, tmp_path / "matrix.txt")
+@pytest.mark.parametrize("rows", [20, 40])
+@pytest.mark.parametrize("name", list(DUMPS))
+def test_levels_dumps_the_matrix_that_compare_accepts(name, rows, tmp_path):
+    # compare --rows R converges max(100, R) levels, and labelling fewer moves no step:
+    # levels --k max(100, R) with the same model flags dumps the matrix of compare's step.
+    model = DUMPS[name][1:]
+    code, _, sidecar = _replay(["compare", "--rows", str(rows), *model], tmp_path / "table.json")
+    assert code == 0
+    accepted = json.loads(sidecar)["convergence"]["final_n_max"]
+    path = tmp_path / "matrix.txt"
+    code, pin = _dump_pin(["levels", "--k", str(max(100, rows)), *model], path)
     assert code == 0
     assert pin == json.loads(DUMP_PINS.read_text())[name]
+    last_row = int(path.read_bytes().splitlines()[-1].split()[0])
+    assert last_row + 1 == (accepted + 1) ** 2  # the square cut at compare's n_max
 
 
 def test_default_dump_pin_is_the_benchmarks():
