@@ -130,53 +130,49 @@ def band_values(band: np.ndarray) -> np.ndarray:
 
 
 class LUSlot:
-    """Inverse iteration's workspace: lu, the (3b + 1, n) general band, n pivots, four n-vectors.
+    """Inverse iteration's workspace for one symmetric band: its LU factors, pivots, n-vectors.
 
-    Row 2b + i - j of lu holds H[i, j]; dgbtrf writes its fill-in over rows
-    0..b-1, which it does not read.  upper views lu so that upper[d, c] is
-    lu[2b - d, c + d], the place of H[c, c + d], the lower band written
-    through it fills the upper triangle, and its entries past column n - 1
-    land in b spare columns after lu's.  product reads band, a (b + 1, n)
-    lower band in Fortran order.  solve overwrites x, product writes H x
-    into hx; residual is the caller's.  The arguments of the three calls,
-    addresses included, are made once.
+    band and factored are (b + 1, n) lower bands, band[d, c] = H[c + d, c];
+    product multiplies by band, factor factors factored, and the slot keeps
+    its own copy of each.  general holds factored mirrored once, row
+    b + i - j holding H[i, j]; each factor copies it into rows b..3b of lu,
+    the (3b + 1, n) general band, and dgbtrf writes its fill-in over rows
+    0..b-1, which it does not read.  solve overwrites x; product writes H x
+    into hx.  The arguments of the three calls, addresses included, are
+    made once.
     """
 
-    def __init__(self, b: int, n: int) -> None:
-        rows = 3 * b + 1
-        buffer = np.empty(rows * (n + b))
-        step = buffer.itemsize
-        self.lu = buffer[: rows * n].reshape((rows, n), order="F")
-        self.upper = np.ndarray(
-            (b + 1, n), buffer=buffer, offset=2 * b * step, strides=(3 * b * step, rows * step)
-        )
+    def __init__(self, band: np.ndarray, factored: np.ndarray) -> None:
+        b, n = band.shape[0] - 1, band.shape[1]
+        self.general = np.zeros((2 * b + 1, n), order="F")
+        for d in range(b + 1):
+            self.general[b + d, : n - d] = self.general[b - d, d:] = factored[d, : n - d]
+        self.lu = np.empty((3 * b + 1, n), order="F")
         self.pivot = np.empty(n, dtype=np.intc)
         self.x = np.empty(n)
         self.info = ctypes.c_int()
-        n_, b_, ldab = ctypes.c_int(n), ctypes.c_int(b), ctypes.c_int(rows)
+        n_, b_, ldab = ctypes.c_int(n), ctypes.c_int(b), ctypes.c_int(3 * b + 1)
         lu, pivot, info = self.lu.ctypes.data, self.pivot.ctypes.data, ctypes.byref(self.info)
         self._factor_args = (n_, n_, b_, b_, lu, ldab, pivot, info)
         x = self.x.ctypes.data
         one = ctypes.c_int(1)
         self._solve_args = (b"N", n_, b_, b_, one, lu, ldab, pivot, x, n_, info)
-        self.band = np.empty((b + 1, n), order="F")
+        self.band = np.array(band, dtype=float, order="F")
         self.hx = np.empty(n)
-        self.residual = np.empty(n)
         self._product_args = (
             b"L", n_, b_, ctypes.c_double(1.0), self.band.ctypes.data, ctypes.c_int(b + 1),
             x, one, ctypes.c_double(0.0), self.hx.ctypes.data, one,
         )
 
-    def factor(self, band: np.ndarray, shift: float, floor: float) -> None:
-        """Factor H - shift I, H given as its (b + 1, n) lower band, into lu by dgbtrf.
+    def factor(self, shift: float, floor: float) -> None:
+        """Factor H - shift I, H the factored band, into lu by dgbtrf.
 
         Pivots below floor are raised to it, sign kept, so an exactly singular
         H - shift I (dgbtrf's info > 0, left in info) still solves.
         """
         lu = self.lu
-        b = band.shape[0] - 1
-        lu[2 * b :] = band  # H[c + d, c]
-        self.upper[...] = band  # H[c, c + d]
+        b = len(self.general) // 2
+        lu[b:] = self.general
         lu[2 * b] -= shift
         dgbtrf(*self._factor_args)
         _check("dgbtrf", self.info)

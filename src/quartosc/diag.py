@@ -80,10 +80,6 @@ class BasisSpec:
     def dimension(self) -> int:
         return len(self.modes1) * len(self.modes2)
 
-    @property
-    def states(self) -> tuple[tuple[int, int], ...]:
-        return tuple(itertools.product(self.modes1, self.modes2))
-
 
 def build_basis(n_max: int) -> BasisSpec:
     """All (n1, n2) with 0 <= n_k <= n_max, lexicographic order."""
@@ -195,20 +191,19 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     rounding scale within INVERSE_ITERATIONS solves, or if a run's basis
     cannot be formed (LinAlgError).
     """
-    b, n = band.shape[0] - 1, band.shape[1]
+    n = band.shape[1]
     # Scaling by a power of two is exact.  It puts max|E| in [0.5, 1), so the
     # solves, which grow x by up to 1 / (eps max|E|), cannot overflow.
     exponent = -np.frexp(max(abs(values[0]), abs(values[-1])))[1]
-    slot = _lapack.LUSlot(b, n)
-    lower = np.ldexp(band, exponent, out=slot.band)
+    lower = np.ldexp(band, exponent)
     shifts = np.ldexp(values, exponent)
     scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
     floor = np.finfo(float).eps * scale
     # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
-    dropped = np.abs(lower) < floor / n
-    kept = np.where(dropped, 0.0, lower)
-    x, hx, residual = slot.x, slot.hx, slot.residual
+    slot = _lapack.LUSlot(lower, np.where(np.abs(lower) < floor / n, 0.0, lower))
+    del lower  # the slot keeps its own copy: this one would only raise the job's peak
+    x, hx, residual = slot.x, slot.hx, np.empty(n)
     # Row j starts as vector j's start vector: one draw is the stream of count
     # draws of n, row by row.  Its finished vector is written back over it.
     vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (count, n))
@@ -216,7 +211,7 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     for j, shift in enumerate(shifts[:count]):
         if j and shift - shifts[j - 1] > 1e-3 * scale:
             first = j
-        slot.factor(kept, shift, floor)
+        slot.factor(shift, floor)
         x[:] = vectors[j]
         cluster = vectors[first:j]
         for solve in range(INVERSE_ITERATIONS):
@@ -318,13 +313,13 @@ def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[Sp
     """Label one parity block's ranked levels by dominant basis-state weight.
 
     The block's j-th lowest eigenvalue values[j], with eigenvector column
-    vectors[:, j] over block.states, has global rank ranks[j], for j <
-    len(ranks): the ranked levels are a prefix of the block, since its
-    eigenvalues ascend.  Levels claim basis states in order of their
-    largest squared eigenvector component, largest first, ties in rank
-    order.  Each level first claims the state carrying that component;
-    when it is already claimed the level moves to its next-best unclaimed
-    state, so the labels have no duplicates.  Parity blocks share no basis
+    vectors[:, j] over the block's states (n1-major), has global rank
+    ranks[j], for j < len(ranks): the ranked levels are a prefix of the
+    block, since its eigenvalues ascend.  Levels claim basis states in
+    order of their largest squared eigenvector component, largest first,
+    ties in rank order.  Each level first claims the state carrying that
+    component; when it is already claimed the level moves to its next-best
+    unclaimed state, so the labels have no duplicates.  Parity blocks share no basis
     state, so claims never meet across blocks, and the labels of all
     blocks together are those of one such loop over all ranked levels.  A
     level is ambiguous when the weight of the state it ends up with is at
@@ -369,9 +364,12 @@ def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
 
 def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
     """The levels that a block's claims (_claim) label, as assign_quantum_numbers builds them."""
-    states = block.states
+    m2 = len(block.modes2)  # state i of the n1-major grid is (modes1[i // m2], modes2[i % m2])
     return [
-        SpectrumLevel(int(ranks[j]), float(values[j]), QuantumNumbers(*states[i]), weight)
+        SpectrumLevel(
+            int(ranks[j]), float(values[j]),
+            QuantumNumbers(block.modes1[i // m2], block.modes2[i % m2]), weight,
+        )
         for j, i, weight in claims
     ]
 
@@ -383,6 +381,9 @@ def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
     ascending; kth is the highest labelled level's energy.  Vectors are
     solved for every value up to kth, which keeps a degenerate run cut at
     that level whole for _canonical_basis, and dropped when the job returns.
+    That holds where the block's distinct values lie more than eps max|E|
+    apart; a run of distinct values closer than that is cut at kth, so its
+    vectors, and the labels from them, depend on which levels are labelled.
     It runs on a pool thread, so it calls only private functions and builds
     no QuantumNumbers: a tracer may wrap the public ones with one span stack
     and count constructions without a lock.

@@ -44,6 +44,11 @@ PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
 _LOOP_STEPS = ((-2, -2), (-2, 0), (-2, 2), (0, -2), (0, 2), (2, -2), (2, 0), (2, 2))
 
 
+def _states(basis):
+    """A tensor-grid basis's states (n1, n2), n1-major: the order of its matrix rows."""
+    return tuple((n1, n2) for n1 in basis.modes1 for n2 in basis.modes2)
+
+
 def _assemble_loop(states, params):
     """Element-by-element Hamiltonian through the scalar kernel.
 
@@ -92,7 +97,7 @@ def _assign_global(spectra, k):
     """
     entries = []  # (energy, squared weights, block states)
     for w, v, block in spectra:
-        states = block.states
+        states = _states(block)
         for j in range(len(w)):
             entries.append((float(w[j]), v[:, j] ** 2, states))
     entries.sort(key=lambda e: e[0])
@@ -169,13 +174,13 @@ def _dump_loop(matrix, path):
 
 def test_basis_dimensions():
     assert build_basis(34).dimension == 1225
-    assert build_basis(0).states == ((0, 0),)
+    assert _states(build_basis(0)) == ((0, 0),)
     assert build_basis(2).dimension == 9
 
 
 def test_basis_is_lexicographic():
     basis = build_basis(2)
-    assert basis.states[:4] == ((0, 0), (0, 1), (0, 2), (1, 0))
+    assert _states(basis)[:4] == ((0, 0), (0, 1), (0, 2), (1, 0))
 
 
 def test_zero_coupling_gives_diagonal_matrix():
@@ -183,7 +188,7 @@ def test_zero_coupling_gives_diagonal_matrix():
     basis = build_basis(3)
     h = assemble_hamiltonian(basis, params)
     expected = np.diag(
-        [e0_quantum(QuantumNumbers(*s), params) for s in basis.states]
+        [e0_quantum(QuantumNumbers(*s), params) for s in _states(basis)]
     )
     np.testing.assert_allclose(_dense(h), expected, atol=0.0)
 
@@ -191,8 +196,8 @@ def test_zero_coupling_gives_diagonal_matrix():
 def test_specific_off_diagonal_entry():
     basis = build_basis(2)
     h = assemble_hamiltonian(basis, PARAMS)
-    i = basis.states.index((2, 0))
-    j = basis.states.index((0, 0))
+    i = _states(basis).index((2, 0))
+    j = _states(basis).index((0, 0))
     assert h[i - j, j] == pytest.approx(0.1 * 0.25 * math.sqrt(2.0), rel=1e-15)
 
 
@@ -200,7 +205,7 @@ def test_coupling_keeps_full_precision_where_quarter_hbar_squared_is_subnormal()
     # 0.25 * hbar^2 = 2.5e-321 is subnormal: g times it would put this entry 5.6e-4 off.
     params = ModelParams(omega1=1.0, omega2=SQRT2, g=1e150, hbar=1e-160)
     basis = build_basis(2)
-    i, j = basis.states.index((0, 2)), basis.states.index((0, 0))
+    i, j = _states(basis).index((0, 2)), _states(basis).index((0, 0))
     with decimal.localcontext(prec=40):
         g, hbar = decimal.Decimal(1e150), decimal.Decimal(1e-160)
         exact = float(g * hbar * hbar / 4 * decimal.Decimal(2).sqrt())
@@ -211,7 +216,7 @@ def test_coupling_keeps_full_precision_where_quarter_hbar_squared_is_subnormal()
 
 def test_matrix_is_exactly_symmetric():
     # What makes storing only the lower band lossless.
-    h = _assemble_loop(build_basis(6).states, PARAMS)
+    h = _assemble_loop(_states(build_basis(6)), PARAMS)
     assert np.array_equal(h, h.T)
 
 
@@ -237,10 +242,10 @@ def test_parity_block_sizes():
 def test_parity_split_is_the_modulo_scan(n_max):
     basis = build_basis(n_max)
     lexicographic = tuple((n1, n2) for n1 in range(n_max + 1) for n2 in range(n_max + 1))
-    assert basis.states == lexicographic
+    assert _states(basis) == lexicographic
     blocks = split_parity_blocks(basis)
-    assert [b.states for b in blocks] == _parity_scan(lexicographic)
-    merged = [s for b in blocks for s in b.states]
+    assert [_states(b) for b in blocks] == _parity_scan(lexicographic)
+    merged = [s for b in blocks for s in _states(b)]
     assert sorted(merged) == list(lexicographic)
     assert sum(b.dimension for b in blocks) == basis.dimension
 
@@ -248,7 +253,7 @@ def test_parity_split_is_the_modulo_scan(n_max):
 def test_no_cross_block_coupling():
     basis = build_basis(6)
     h = _dense(assemble_hamiltonian(basis, PARAMS))
-    parity = [(n1 % 2, n2 % 2) for n1, n2 in basis.states]
+    parity = [(n1 % 2, n2 % 2) for n1, n2 in _states(basis)]
     for i in range(basis.dimension):
         for j in range(basis.dimension):
             if parity[i] != parity[j]:
@@ -270,7 +275,7 @@ def test_no_cross_block_coupling():
 def test_array_kernel_is_bitwise_the_loop(n_max, params):
     basis = build_basis(n_max)
     for b in [basis] + split_parity_blocks(basis):
-        band, oracle = assemble_hamiltonian(b, params), _assemble_loop(b.states, params)
+        band, oracle = assemble_hamiltonian(b, params), _assemble_loop(_states(b), params)
         n = b.dimension
         assert band.shape[1] == n
         for d, row in enumerate(band):
@@ -549,20 +554,29 @@ def test_ctypes_band_lu_is_bitwise_the_f2py_wrappers():
         b, n = band.shape[0] - 1, band.shape[1]
         values = _lapack.band_values(band)
         floor = np.finfo(float).eps * abs(values[-1])
-        slot = _lapack.LUSlot(b, n)
-        slot.lu.fill(np.nan)  # a reused buffer's stale entries must not matter
+        # The vector pass factors the band with its tiniest entries dropped and
+        # multiplies by the whole band: here one coupling is dropped.
+        dropped = band.copy()
+        assert dropped[b, 0]
+        dropped[b, 0] = 0.0
         # Row 2b + i - j holds U[i, j]: rows above 2b - j lie before the matrix's first row.
         used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
         rhs = np.random.default_rng(1).uniform(-1.0, 1.0, n)
-        for shift in (values[0], values[7], 0.5 * (values[40] + values[41])):
-            lu, pivot = _f2py_factor(band, shift, floor)
-            slot.factor(band, shift, floor)
-            assert np.array_equal(slot.pivot - 1, pivot)  # f2py returns them 0-based
-            assert np.array_equal(slot.lu[used], lu[used])
-            x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
+        for factored in (band, dropped):
+            slot = _lapack.LUSlot(band, factored)
+            slot.lu.fill(np.nan)  # a reused buffer's stale entries must not matter
+            for shift in (values[0], values[7], 0.5 * (values[40] + values[41])):
+                lu, pivot = _f2py_factor(factored, shift, floor)
+                slot.factor(shift, floor)
+                assert np.array_equal(slot.pivot - 1, pivot)  # f2py returns them 0-based
+                assert np.array_equal(slot.lu[used], lu[used])
+                x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivot)
+                slot.x[:] = rhs
+                slot.solve()
+                assert np.array_equal(slot.x, x)
             slot.x[:] = rhs
-            slot.solve()
-            assert np.array_equal(slot.x, x)
+            slot.product()
+            assert np.array_equal(slot.hx, scipy.linalg.blas.dsbmv(b, 1.0, band, rhs, lower=1))
 
 
 def test_exactly_singular_shift_gets_its_zero_pivot_raised_to_the_floor():
@@ -574,9 +588,9 @@ def test_exactly_singular_shift_gets_its_zero_pivot_raised_to_the_floor():
     b, n = band.shape[0] - 1, band.shape[1]
     floor = np.finfo(float).eps * band[0].max()
     used = np.arange(3 * b + 1)[:, None] >= 2 * b - np.arange(n)
-    slot = _lapack.LUSlot(b, n)
+    slot = _lapack.LUSlot(band, band)
     for c in (0, 5, n - 1):
-        slot.factor(band, band[0, c], floor)
+        slot.factor(band[0, c], floor)
         assert slot.info.value == c + 1  # dgbtrf met U[c, c] = 0
         lu, pivot = _f2py_factor(band, band[0, c], floor)
         assert np.array_equal(slot.pivot - 1, pivot)
@@ -592,13 +606,13 @@ def test_ctypes_band_product_is_bitwise_the_f2py_wrapper(n_max):
         band = assemble_hamiltonian(block, DEFAULT_PARAMS)
         b, n = band.shape[0] - 1, band.shape[1]
         values = _lapack.band_values(band)
-        slot = _lapack.LUSlot(b, n)
         # The scaled band of the vector pass, max|E| in [0.5, 1).
-        np.ldexp(band, -np.frexp(abs(values[-1]))[1], out=slot.band)
+        scaled = np.ldexp(band, -np.frexp(abs(values[-1]))[1])
+        slot = _lapack.LUSlot(scaled, scaled)
         for _ in range(3):
             slot.x[:] = rng.uniform(-1.0, 1.0, n)
             slot.product()
-            oracle = scipy.linalg.blas.dsbmv(b, 1.0, slot.band, slot.x, lower=1)
+            oracle = scipy.linalg.blas.dsbmv(b, 1.0, scaled, slot.x, lower=1)
             assert np.array_equal(slot.hx, oracle)
 
 
@@ -737,11 +751,12 @@ def test_pipelined_block_holds_one_lu_buffer_per_factorization_in_flight(workers
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # One LU buffer (with b spare columns) and its pivots serve all of a job's vectors.
+    # One LU buffer and its pivots serve all of a job's vectors.
     lu = (3 * b + 1) * (n + b) * 8 + n * 4
-    # Per job, beside its vectors, their squares and its buffer: the scaled
-    # band, the mask of dropped entries and the work arrays, within two
-    # band-sized arrays.  A second buffer per job would not fit.
+    # Per job, beside its vectors and that buffer: the slot's mirrored band
+    # (2b + 1 < count rows) in the room of the vectors' squares, which come
+    # after the slot is dropped, and the band's copy and the work arrays
+    # within two band-sized arrays.  A second buffer per job would not fit.
     assert peak <= jobs * (2 * count * n * 8 + lu + 2 * band.nbytes)
 
 
@@ -1062,7 +1077,8 @@ def test_labels_above_one_half_hold_their_argmax_in_every_claim_loop(params):
         if len(ranks):
             vectors = diag._band_eigenvectors(h, w, len(ranks))
             for j, rank in enumerate(ranks.tolist()):
-                argmax[rank] = QuantumNumbers(*block.states[int(np.argmax(vectors[:, j] ** 2))])
+                state = _states(block)[int(np.argmax(vectors[:, j] ** 2))]
+                argmax[rank] = QuantumNumbers(*state)
     for m in (1, 5, 20, 39, 40, 72, 99, 100):
         for level, whole in zip(converged_levels(params, k=100, labelled=m).levels, full.levels):
             assert level.ambiguous == (level.overlap_weight <= 0.5)
@@ -1071,6 +1087,27 @@ def test_labels_above_one_half_hold_their_argmax_in_every_claim_loop(params):
                 assert level.assigned == argmax[level.rank]
             elif level.assigned != whole.assigned:
                 assert level.ambiguous and whole.ambiguous
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="in-block gaps below eps*max|E| leave a run's vectors unresolved, so an "
+    "unflagged label there depends on which levels are labelled with it",
+)
+def test_unflagged_labels_hold_in_every_claim_loop_where_gaps_are_below_rounding():
+    # The promise of test_labels_above_one_half_hold_their_argmax_in_every_claim_loop,
+    # where omega2 puts max|E| so high that a block's (n1, 0) levels, about 2 apart,
+    # lie closer than eps max|E|.  At omega2 1e15 both runs accept n_max 24, yet labelled=3
+    # gives rank 3 (4,0) at weight 0.611 and the full run (2,0) at 0.857.
+    for omega2 in (1e15, 1e16, 1e300):
+        params = ModelParams(omega1=1.0, omega2=omega2, g=0.1, hbar=1.0)
+        full = converged_levels(params, k=20)
+        for m in (1, 2, 3, 5, 10, 19):
+            part = converged_levels(params, k=20, labelled=m)
+            assert part.final_n_max == full.final_n_max
+            for level, whole in zip(part.levels, full.levels):
+                if not (level.ambiguous or whole.ambiguous):
+                    assert level.assigned == whole.assigned, (omega2, m, level.rank)
 
 
 @pytest.mark.parametrize("labelled", [0, 101])
