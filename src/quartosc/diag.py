@@ -24,8 +24,9 @@ pass is one more map on the same pool, one job per block that holds a
 labelled level: the job solves the block's vectors in order, then runs
 the block's claim loop on them and returns the claims, so no vector array
 outlives its job.  The blocks share no basis state, so the labels are
-those of one claim loop over the labelled levels of all blocks; the
-calling thread turns the claims into levels.
+those of one claim loop over the labelled levels of all blocks.  The
+calling thread builds the levels from each job's claims with
+assign_quantum_numbers.
 Every LAPACK and BLAS call is made by quartosc._lapack, which releases
 the GIL, so the jobs overlap, and never imports scipy.linalg.
 """
@@ -309,42 +310,28 @@ def _block_spectra(params: ModelParams, n_max: int, pool: ThreadPoolExecutor):
     return list(zip(pool.map(_lapack.band_values, bands), bands, blocks))
 
 
-def assign_quantum_numbers(values, vectors, block: BasisSpec, ranks) -> tuple[SpectrumLevel, ...]:
-    """Label one parity block's ranked levels by dominant basis-state weight.
-
-    The block's j-th lowest eigenvalue values[j], with eigenvector column
-    vectors[:, j] over the block's states (n1-major), has global rank
-    ranks[j], for j < len(ranks): the ranked levels are a prefix of the
-    block, since its eigenvalues ascend.  Levels claim basis states in
-    order of their largest squared eigenvector component, largest first,
-    ties in rank order.  Each level first claims the state carrying that
-    component; when it is already claimed the level moves to its next-best
-    unclaimed state, so the labels have no duplicates.  Parity blocks share no basis
-    state, so claims never meet across blocks, and the labels of all
-    blocks together are those of one such loop over all ranked levels.  A
-    level is ambiguous when the weight of the state it ends up with is at
-    most 1/2 (see _claim).  The levels come in claim order, and the input
-    arrays are not modified.  The loop is _claim; converged_levels runs it
-    in each block's job.
-    """
-    return tuple(_levels(_claim(vectors, len(ranks)), values, block, ranks))
-
-
 def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
-    """assign_quantum_numbers' claim loop over the first count vectors (columns).
+    """The greedy claim loop that labels a block's count lowest levels.
 
-    Returns (j, i, weight) per level j, in claim order: the level claimed
-    basis state i, whose squared component in vectors[:, j] is weight.
-    Every level's maximum and its argmax are taken once, and the levels
-    go in order of those maxima.  A level whose maximum is unique, and
-    whose state is still unclaimed, takes that state without a sort: a
-    unique maximum is the last entry of any argsort of the row.  Any
-    other level walks its argsort, largest first, so the claims are
-    those of that walk for every level.  The vectors of a block are
-    complete and orthonormal, so at most one level holds more than 1/2
-    of a state: a level of peak above 1/2 takes its argmax whichever
-    levels are in the loop, and only one of weight at most 1/2 can be
-    pushed off it.
+    vectors[:, j] is the j-th lowest level's eigenvector over the block's
+    states (n1-major).  Returns (j, i, weight) per level j, in claim
+    order: the level claimed basis state i, whose squared component in
+    vectors[:, j] is weight.  Levels claim basis states in order of their
+    largest squared component, largest first, ties in level order.  Each
+    level first claims the state carrying that component; when it is
+    already claimed the level walks its argsort, largest first, to its
+    next-best unclaimed state, so the claims have no duplicates.  Parity
+    blocks share no basis state, so claims never meet across blocks, and
+    the claims of all blocks together are those of one such loop over
+    all their levels.  The input array is not modified.
+
+    Every level's maximum and its argmax are taken once.  A level whose
+    maximum is unique, and whose state is still unclaimed, takes that
+    state without a sort: a unique maximum is the last entry of any
+    argsort of the row.  The vectors of a block are complete and
+    orthonormal, so at most one level holds more than 1/2 of a state: a
+    level of peak above 1/2 takes its argmax whichever levels are in the
+    loop, and only one of weight at most 1/2 can be pushed off it.
     """
     weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
     peaks = weights.max(axis=1)
@@ -362,16 +349,22 @@ def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
     return claims
 
 
-def _levels(claims, values, block: BasisSpec, ranks) -> list[SpectrumLevel]:
-    """The levels that a block's claims (_claim) label, as assign_quantum_numbers builds them."""
+def assign_quantum_numbers(claims, values, block: BasisSpec, ranks) -> tuple[SpectrumLevel, ...]:
+    """The levels that one parity block's claims (_claim) label, in claim order.
+
+    Claim (j, i, weight) gives the block's j-th lowest eigenvalue
+    values[j], of global rank ranks[j], the label of the block's grid
+    state i (n1-major) at that weight.  converged_levels calls it on the
+    calling thread, once per block that holds a labelled level.
+    """
     m2 = len(block.modes2)  # state i of the n1-major grid is (modes1[i // m2], modes2[i % m2])
-    return [
+    return tuple(
         SpectrumLevel(
             int(ranks[j]), float(values[j]),
             QuantumNumbers(block.modes1[i // m2], block.modes2[i % m2]), weight,
         )
         for j, i, weight in claims
-    ]
+    )
 
 
 def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
@@ -386,7 +379,8 @@ def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
     vectors, and the labels from them, depend on which levels are labelled.
     It runs on a pool thread, so it calls only private functions and builds
     no QuantumNumbers: a tracer may wrap the public ones with one span stack
-    and count constructions without a lock.
+    and count constructions without a lock.  The calling thread builds the
+    levels from the claims with assign_quantum_numbers.
     """
     values, band, _, ranks = job
     share = int(np.searchsorted(values, kth, side="right"))
@@ -411,13 +405,14 @@ def converged_levels(
     them move no label.  The accepted step maps _label_block over the
     blocks that hold a labelled level, on the same pool: each job solves
     its block's vectors on the retained band and returns the block's
-    claims, and the calling thread builds the levels from them.  The pool
-    is joined before the call returns or raises.  Raises ValueError unless
-    1 <= labelled <= k, BudgetExceeded when fewer than two scheduled
-    bases hold k levels (the stopping rule compares two) or the schedule
-    ends unconverged, and UnresolvableDigits at the first step where the
-    smallest threshold is no larger than ROUNDING_FACTOR * eps * max|E|,
-    the eigensolver's rounding scale, or the lowest level is subnormal.
+    claims, and the calling thread builds the levels from them with
+    assign_quantum_numbers.  The pool is joined before the call returns
+    or raises.  Raises ValueError unless 1 <= labelled <= k,
+    BudgetExceeded when fewer than two scheduled bases hold k levels (the
+    stopping rule compares two) or the schedule ends unconverged, and
+    UnresolvableDigits at the first step where the smallest threshold is
+    no larger than ROUNDING_FACTOR * eps * max|E|, the eigensolver's
+    rounding scale, or the lowest level is subnormal.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -477,7 +472,7 @@ def converged_levels(
     levels = [
         level
         for (w, _, block, ranks), block_claims in zip(ranked, claims)
-        for level in _levels(block_claims, w, block, ranks)
+        for level in assign_quantum_numbers(block_claims, w, block, ranks)
     ]
     levels.sort(key=lambda lvl: lvl.rank)
     return ConvergenceReport(

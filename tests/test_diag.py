@@ -93,7 +93,7 @@ def _parity_scan(states):
 def _assign_global(spectra, k):
     """One greedy claim loop over the k lowest levels of all blocks together.
 
-    The oracle for assign_quantum_numbers, which runs the loop per block.
+    The oracle for _claim and assign_quantum_numbers, which run the loop per block.
     """
     entries = []  # (energy, squared weights, block states)
     for w, v, block in spectra:
@@ -151,7 +151,7 @@ def _eigenpairs(band, count):
 
 
 def _assign_per_block(spectra, k):
-    """assign_quantum_numbers on each block holding one of the k lowest levels, merged by rank."""
+    """The levels of each block holding one of the k lowest levels, merged by rank."""
     merged = np.concatenate([w for w, _, _ in spectra])
     block_of = np.repeat(np.arange(len(spectra)), [len(w) for w, _, _ in spectra])
     block_of = block_of[np.argsort(merged, kind="stable")[:k]]
@@ -159,7 +159,7 @@ def _assign_per_block(spectra, k):
     for i, (w, v, block) in enumerate(spectra):
         ranks = np.flatnonzero(block_of == i) + 1
         if len(ranks):
-            levels += assign_quantum_numbers(w, v, block, ranks)
+            levels += assign_quantum_numbers(diag._claim(v, len(ranks)), w, block, ranks)
     return tuple(sorted(levels, key=lambda lvl: lvl.rank))
 
 
@@ -510,7 +510,7 @@ def test_converged_levels_independent_of_the_worker_count(monkeypatch):
     ],
     ids=["k20", "k100", "k500", "g0"],
 )
-def test_pipelined_vector_pass_is_bitwise_the_sequential(monkeypatch, params, k, digits):
+def test_block_jobs_are_bitwise_the_sequential(monkeypatch, params, k, digits):
     # The accepted step's block jobs run one after another on one worker, two
     # or four at once on more: the report must not depend on it.
     monkeypatch.setattr(diag, "_WORKERS", 1)
@@ -520,7 +520,7 @@ def test_pipelined_vector_pass_is_bitwise_the_sequential(monkeypatch, params, k,
         assert converged_levels(params, k=k, digits=digits) == sequential
 
 
-def test_pipelined_vector_pass_under_thread_pressure_is_bitwise_the_sequential(monkeypatch):
+def test_block_jobs_under_thread_pressure_are_bitwise_the_sequential(monkeypatch):
     # More block jobs at once than cores, switching every 10 us: each job's
     # workspace must stay its own.
     monkeypatch.setattr(diag, "_WORKERS", 1)
@@ -731,7 +731,7 @@ def test_only_the_lapack_module_imports_ctypes():
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2])
-def test_pipelined_block_holds_one_lu_buffer_per_factorization_in_flight(workers):
+def test_block_job_holds_one_lu_buffer_per_factorization_in_flight(workers):
     # Each block job factors in one LU buffer of its own: `workers` jobs in
     # flight on a pool (None: one job on the calling thread) hold one each.
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
@@ -1051,6 +1051,29 @@ def test_labelled_levels_are_one_claim_loop_over_them_alone(monkeypatch, params,
     assert report.levels == _assign_global(lowest, m)
 
 
+@pytest.mark.parametrize("labelled", [20, None], ids=["labelled20", "all"])
+def test_levels_are_built_by_assign_quantum_numbers_on_the_calling_thread(monkeypatch, labelled):
+    # The pool jobs return claims; the calling thread turns each labelled block's
+    # claims into levels through the public builder, which a tracer may wrap.
+    original, calls = diag.assign_quantum_numbers, []
+
+    def spy_assign(claims, values, block, ranks):
+        levels = original(claims, values, block, ranks)
+        calls.append((threading.current_thread(), block, levels))
+        return levels
+
+    monkeypatch.setattr(diag, "assign_quantum_numbers", spy_assign)
+    report = converged_levels(DEFAULT_PARAMS, k=100, labelled=labelled)
+    monkeypatch.undo()
+
+    holding = {(lvl.assigned.n1 % 2, lvl.assigned.n2 % 2) for lvl in report.levels}
+    blocks = [(block.modes1.start, block.modes2.start) for _, block, _ in calls]
+    assert sorted(blocks) == sorted(holding)  # once per block that holds a labelled level
+    assert all(thread is threading.main_thread() for thread, _, _ in calls)
+    built = [level for _, _, levels in calls for level in levels]
+    assert tuple(sorted(built, key=lambda lvl: lvl.rank)) == report.levels
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -1165,8 +1188,9 @@ def test_assignment_leaves_its_input_unchanged():
         for block in split_parity_blocks(build_basis(14))
     ]
     copies = [(w.copy(), v.copy()) for w, v, _ in spectra]
+    ranks = np.arange(1, 11)
     for w, v, block in spectra:
-        assign_quantum_numbers(w, v, block, np.arange(1, 11))
+        assign_quantum_numbers(diag._claim(v, len(ranks)), w, block, ranks)
     for (w, v, _), (w0, v0) in zip(spectra, copies):
         assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
