@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from quartosc import _lapack
 from quartosc.classical import ActionPair, h1_actions, h2_actions, semiclassical_series
 from quartosc.diag import (
     _band_eigenvectors,
@@ -23,7 +24,6 @@ from quartosc.diag import (
     build_basis,
     converged_levels,
     split_parity_blocks,
-    symmetric_eigenvalues,
 )
 from quartosc.model import ModelParams, QuantumNumbers
 from quartosc.oracles import (
@@ -273,7 +273,7 @@ def test_criterion_9_property_suite(default_table):
 
     # parity blocks reproduce the whole-matrix spectrum
     for n_max in (6, 10):
-        full = symmetric_eigenvalues(assemble_hamiltonian(build_basis(n_max), PARAMS))
+        full = _lapack.band_values(assemble_hamiltonian(build_basis(n_max), PARAMS))
         merged = merged_values(n_max)
         np.testing.assert_allclose(merged, full, atol=1e-12)
 
@@ -291,7 +291,7 @@ def test_criterion_9_property_suite(default_table):
 
     # eigenvector orthonormality
     h = assemble_hamiltonian(build_basis(8), PARAMS)
-    values = symmetric_eigenvalues(h)
+    values = _lapack.band_values(h)
     v = _band_eigenvectors(h, values, len(values))
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-10
 
@@ -347,7 +347,7 @@ def test_reported_digits_hold_against_the_largest_basis(params, k, digits):
     # rank's eigenvalue in the basis n_max = 80, one past the largest scheduled one (79).
     report = converged_levels(params, k=k, digits=digits)
     bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(80))]
-    truth = np.sort(np.concatenate([symmetric_eigenvalues(band) for band in bands]))[:k]
+    truth = np.sort(np.concatenate([_lapack.band_values(band) for band in bands]))[:k]
     energies = np.array([lvl.energy for lvl in report.levels])
     threshold = 0.5 * 10.0 ** (-digits) * np.abs(energies)
     assert np.all(np.abs(energies - truth) < threshold)

@@ -294,13 +294,13 @@ def test_overflowing_hamiltonian_rejected(field, value):
 
 def test_eigenvalues_2x2_closed_form():
     a, b = 3.0, -1.5
-    w = symmetric_eigenvalues(np.array([[a, a], [b, 0.0]]))  # [[a, b], [b, a]] as a band
+    w = _lapack.band_values(np.array([[a, a], [b, 0.0]]))  # [[a, b], [b, a]] as a band
     np.testing.assert_allclose(w, [a - abs(b), a + abs(b)], rtol=1e-14)
 
 
 def test_eigenvalues_of_diagonal_matrix():
     d = np.array([[3.0, -1.0, 2.5]])  # diag(3, -1, 2.5) as a band of width 0
-    np.testing.assert_allclose(symmetric_eigenvalues(d), [-1.0, 2.5, 3.0], rtol=0)
+    np.testing.assert_allclose(_lapack.band_values(d), [-1.0, 2.5, 3.0], rtol=0)
 
 
 @pytest.mark.parametrize(
@@ -342,7 +342,7 @@ def _rayleigh_oracle(band):
 )
 def test_band_eigenvalues_within_the_rounding_scale(n_max, params):
     bands = [assemble_hamiltonian(b, params) for b in split_parity_blocks(build_basis(n_max))]
-    values = [symmetric_eigenvalues(band) for band in bands]
+    values = [_lapack.band_values(band) for band in bands]
     scale = np.finfo(float).eps * max(float(np.abs(w).max()) for w in values)
     for band, w in zip(bands, values):
         error = np.abs(w.astype(np.longdouble) - _rayleigh_oracle(band))
@@ -373,7 +373,7 @@ def test_inverse_iteration_matches_dense_eigh(params, n_max):
     """Each block's lowest vectors, as many as deep runs take, against the dense solver."""
     for block in split_parity_blocks(build_basis(n_max)):
         band = assemble_hamiltonian(block, params)
-        values = symmetric_eigenvalues(band)
+        values = _lapack.band_values(band)
         count = min(len(values) // 3, 125)
         w, v = values[:count], diag._band_eigenvectors(band, values, count)
         h = _dense(band)
@@ -400,7 +400,7 @@ def test_inverse_iteration_at_the_edges_of_double_precision_matches_dense_eigh(g
     params = ModelParams(omega1=1.0, omega2=SQRT2, g=g, hbar=hbar)
     for block in split_parity_blocks(build_basis(14)):
         band = assemble_hamiltonian(block, params)
-        values = symmetric_eigenvalues(band)
+        values = _lapack.band_values(band)
         count = len(values) // 3
         w, v = values[:count], diag._band_eigenvectors(band, values, count)
         top = np.abs(values).max()
@@ -443,7 +443,7 @@ def test_close_eigenvalues_get_orthogonal_vectors():
 
 def test_inverse_iteration_off_an_eigenvalue_fails():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
-    values = symmetric_eigenvalues(band)
+    values = _lapack.band_values(band)
     shifted = values + 0.5 * np.diff(values).min()
     with pytest.raises(ConvergenceFailure):
         diag._band_eigenvectors(band, shifted, 1)
@@ -451,7 +451,7 @@ def test_inverse_iteration_off_an_eigenvalue_fails():
 
 def test_inverse_iteration_failure_names_the_eigenvalue_as_a_plain_float():
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
-    shifted = symmetric_eigenvalues(band) + 0.25
+    shifted = _lapack.band_values(band) + 0.25
     with pytest.raises(ConvergenceFailure) as failure:
         diag._band_eigenvectors(band, shifted, 1)
     assert str(failure.value) == (
@@ -694,7 +694,7 @@ def test_factorization_argument_error_raises_value_error(monkeypatch):
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
     rows = np.random.default_rng(3).standard_normal((3, 10))
     cases = [
-        ("dsbevd", 0, 6, lambda: symmetric_eigenvalues(band)),  # ldab
+        ("dsbevd", 0, 6, lambda: _lapack.band_values(band)),  # ldab
         ("dgbtrf", 0, 6, lambda: _eigenpairs(band, 10)),  # ldab
         ("dgbtrs", 0, 7, lambda: _eigenpairs(band, 10)),  # ldab
         ("dgeqp3", 0, 4, lambda: diag._canonical_basis(rows)),  # lda, in the query
@@ -735,7 +735,7 @@ def test_block_job_holds_one_lu_buffer_per_factorization_in_flight(workers):
     # Each block job factors in one LU buffer of its own: `workers` jobs in
     # flight on a pool (None: one job on the calling thread) hold one each.
     band = assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS)
-    values = symmetric_eigenvalues(band)
+    values = _lapack.band_values(band)
     b, n = band.shape[0] - 1, band.shape[1]
     count = 40
     job = (values, band, None, np.arange(1, count + 1))
@@ -867,7 +867,7 @@ def test_forked_child_solves_after_the_parent():
 
 def test_block_spectra_match_full_matrix():
     h = assemble_hamiltonian(build_basis(6), PARAMS)
-    full = symmetric_eigenvalues(h)
+    full = _lapack.band_values(h)
     merged = _merged(PARAMS, 6)
     np.testing.assert_allclose(merged, full, atol=1e-12)
 

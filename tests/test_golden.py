@@ -100,6 +100,13 @@ def test_default_dump_pin_is_the_benchmarks():
     assert pinned == json.loads(BENCH_GOLDEN.read_text())["dump"]["dump_sha256"]
 
 
+def test_golden_directory_is_the_replay_list():
+    # CI runs these tests against the installed package in place of a list of its own, so a
+    # golden file or dump pin that nothing replays, or a case with no file, fails here.
+    assert {path.name for path in GOLDEN.iterdir()} == {*CASES, SIDECAR, DUMP_PINS.name}
+    assert set(json.loads(DUMP_PINS.read_text())) == set(DUMPS)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():

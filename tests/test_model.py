@@ -33,12 +33,12 @@ def test_reference_configuration_accepted():
 
 def test_equal_frequencies_rejected():
     with pytest.raises(ResonantFrequencies):
-        validate(ModelParams(omega1=1.0, omega2=1.0, g=0.1, hbar=1.0))
+        ModelParams(omega1=1.0, omega2=1.0, g=0.1, hbar=1.0)
 
 
 def test_near_resonant_frequencies_rejected():
     with pytest.raises(ResonantFrequencies):
-        validate(ModelParams(omega1=1.0, omega2=1.0 + 1e-9, g=0.1, hbar=1.0))
+        ModelParams(omega1=1.0, omega2=1.0 + 1e-9, g=0.1, hbar=1.0)
 
 
 def test_zero_coupling_accepted():
@@ -57,7 +57,7 @@ def test_zero_coupling_accepted():
 )
 def test_invalid_parameters_rejected(params, error):
     with pytest.raises(error):
-        validate(ModelParams(**params))
+        ModelParams(**params)
 
 
 @pytest.mark.parametrize("field", ["omega1", "omega2", "g", "hbar"])
