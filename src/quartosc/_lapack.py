@@ -1,4 +1,4 @@
-"""quartosc's LAPACK and BLAS boundary: five routines bound through ctypes, and their calls.
+"""quartosc's LAPACK and BLAS boundary: four routines bound through ctypes, and their calls.
 
 scipy ships LAPACK and BLAS with a C-level API: its extension modules
 scipy.linalg.cython_lapack and scipy.linalg.cython_blas export every
@@ -13,9 +13,9 @@ foreign call releases the GIL while it runs; the f2py wrappers behind
 scipy.linalg hold it.
 
 Every foreign call quartosc makes is made here, with its arguments,
-workspaces and info check: band_values (dsbevd), LUSlot (dgbtrf, dgbtrs,
-dsbmv) and pivots (dgeqp3); quartosc.diag keeps the numerics.  A negative
-info raises ValueError naming the routine (_check).
+workspaces and info check: band_values (dsbevd) and LUSlot (dgbtrf,
+dgbtrs, dsbmv); quartosc.diag keeps the numerics.  A negative info raises
+ValueError naming the routine (_check).
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ dgbtrf = _bind(_lapack, "dgbtrf", _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER
 dgbtrs = _bind(
     _lapack, "dgbtrs", _CHAR, _INT, _INT, _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _INT, _INT
 )
-#: dgeqp3(m, n, a, lda, jpvt, tau, work, lwork, info)
-dgeqp3 = _bind(_lapack, "dgeqp3", _INT, _INT, _BUFFER, _INT, _BUFFER, _BUFFER, _BUFFER, _INT, _INT)
 #: dsbmv(uplo, n, k, alpha, a, lda, x, incx, beta, y, incy)
 dsbmv = _bind(
     _blas, "dsbmv", _CHAR, _INT, _INT, _DOUBLE, _BUFFER, _INT, _BUFFER, _INT, _DOUBLE, _BUFFER, _INT
@@ -191,26 +189,3 @@ class LUSlot:
         self.hx.fill(0.0)  # the zeroed y that scipy.linalg.blas.dsbmv passes with beta 0
         dsbmv(*self._product_args)
 
-
-def pivots(rows: np.ndarray) -> np.ndarray:
-    """The 0-based column order of rows' QR with column pivoting, by LAPACK dgeqp3.
-
-    The arguments are those scipy.linalg.qr(rows, pivoting=True) passes:
-    a Fortran copy of rows, jpvt zeroed so that every column is free, and
-    the workspace size that a first query returns; so the order is bitwise
-    its second result.
-    """
-    m, n = rows.shape
-    a = np.array(rows, order="F")  # dgeqp3 overwrites it
-    jpvt = np.zeros(n, dtype=np.intc)
-    tau = np.empty(min(m, n))
-    work = np.empty(1)
-    info = ctypes.c_int()
-    head = (ctypes.c_int(m), ctypes.c_int(n), a.ctypes.data, ctypes.c_int(m))
-    head += (jpvt.ctypes.data, tau.ctypes.data)
-    dgeqp3(*head, work.ctypes.data, ctypes.c_int(-1), ctypes.byref(info))  # workspace size query
-    _check("dgeqp3", info)
-    work = np.empty(int(work[0]))
-    dgeqp3(*head, work.ctypes.data, ctypes.c_int(len(work)), ctypes.byref(info))
-    _check("dgeqp3", info)
-    return jpvt - 1

@@ -250,16 +250,33 @@ def _norm(v: np.ndarray) -> float:
 def _canonical_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the same space, independent of the given basis.
 
-    Pivoted QR (_lapack.pivots: LAPACK dgeqp3, bitwise the column order
-    of scipy.linalg.qr with pivoting) picks m well-conditioned columns, that
-    is, basis states; the span's unique basis that is the identity on them,
-    in column order, is then orthonormalized by Gram-Schmidt.  Where the
-    span is that of m unit vectors, as for exactly degenerate uncoupled
-    states, those come back.
+    The m columns that column-pivoted QR picks (_pivot_columns), that is,
+    m well-conditioned basis states, fix the span's unique basis that is
+    the identity on them; in column order it is then orthonormalized by
+    Gram-Schmidt.  Where the span is that of m unit vectors, as for exactly
+    degenerate uncoupled states, those come back.
     """
-    picked = np.sort(_lapack.pivots(rows)[: len(rows)])
+    picked = _pivot_columns(rows)
     q, r = np.linalg.qr(np.linalg.solve(rows[:, picked], rows).T)
     return (q * np.copysign(1.0, np.diagonal(r))).T
+
+
+def _pivot_columns(rows: np.ndarray) -> np.ndarray:
+    """The m columns of m independent rows that column-pivoted QR picks, ascending.
+
+    Gram-Schmidt with column pivoting (Businger & Golub 1965): each pick is
+    the first residual column of largest squared norm, which is then
+    projected out of the residual.  On the pipeline's degenerate runs the
+    picks are the first m of scipy.linalg.qr(rows, pivoting=True), sorted
+    (test_pivot_columns_are_the_first_picks_of_scipy_pivoted_qr).
+    """
+    residual, picked = rows.copy(), []
+    for _ in range(len(rows)):
+        j = int(np.argmax(np.einsum("ij,ij->j", residual, residual)))
+        q = residual[:, j] / _norm(residual[:, j])
+        residual -= np.outer(q, q @ residual)
+        picked.append(j)
+    return np.sort(picked)
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def test_the_cli_loads_no_oracle_and_leaves_no_thread():
         "before = threading.active_count()\n"
         "quartosc.cli.main(['levels', '--k', '3'])\n"
         "assert threading.active_count() == before\n"
-        # Degenerate levels: the canonical basis's pivoted QR runs.
+        # Degenerate levels: the canonical basis picks its columns.
         "quartosc.cli.main(['levels', '--g', '0', '--omega2', '0.5', '--k', '20'])\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         # scipy.linalg still imports afterwards, and exports the routine the package bound.

@@ -493,13 +493,6 @@ def test_band_values_are_bitwise_eigvals_banded(params):
             assert np.array_equal(_lapack.band_values(band), oracle)
 
 
-def test_converged_levels_independent_of_the_worker_count(monkeypatch):
-    concurrent = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
-    monkeypatch.setattr(diag, "_WORKERS", 1)
-    sequential = converged_levels(DEFAULT_PARAMS, k=500, digits=10)
-    assert concurrent == sequential
-
-
 @pytest.mark.parametrize(
     ("params", "k", "digits"),
     [
@@ -617,32 +610,28 @@ def test_ctypes_band_product_is_bitwise_the_f2py_wrapper(n_max):
 
 
 def _degenerate_runs(monkeypatch):
-    """The rows that _canonical_basis pivots on in `levels --g 0 --omega2 0.5`."""
-    runs, original = [], _lapack.pivots
+    """The rows _canonical_basis picks columns from: at g 0, and with gaps below rounding."""
+    runs, original = [], diag._pivot_columns
 
     def spy(rows):
         runs.append(rows.copy())
         return original(rows)
 
-    monkeypatch.setattr(_lapack, "pivots", spy)
-    converged_levels(ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0))
+    monkeypatch.setattr(diag, "_pivot_columns", spy)
+    for omega2 in (0.5, 2.0):
+        converged_levels(ModelParams(omega1=1.0, omega2=omega2, g=0.0, hbar=1.0))
+    for omega2 in (1e15, 1e16, 1e300):
+        converged_levels(ModelParams(omega1=1.0, omega2=omega2, g=0.1, hbar=1.0), k=20)
     monkeypatch.undo()
     return runs
 
 
-def _rank_deficient_rows():
-    rng = np.random.default_rng(3)
-    for m, rank, n in ((2, 1, 10), (3, 2, 50), (4, 2, 169), (5, 3, 324), (6, 1, 7)):
-        yield rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-
-
-def test_ctypes_pivoted_qr_is_bitwise_scipy_qr(monkeypatch):
+def test_pivot_columns_are_the_first_picks_of_scipy_pivoted_qr(monkeypatch):
     runs = _degenerate_runs(monkeypatch)
     assert len(runs) > 10
-    for rows in [*runs, *_rank_deficient_rows()]:
-        pivots = scipy.linalg.qr(rows, mode="r", pivoting=True)[1]
-        assert np.array_equal(_lapack.pivots(rows), pivots)
-
+    for rows in runs:
+        picks = scipy.linalg.qr(rows, mode="r", pivoting=True)[1][: len(rows)]
+        assert np.array_equal(diag._pivot_columns(rows), np.sort(picks))
 
 
 def _report_in_child(tmp_path, setup):
@@ -676,33 +665,28 @@ def test_lapack_binding_falls_back_to_importing_scipy_linalg(tmp_path):
     assert report == fast
 
 
-def _illegal_on_call(routine, call, argument):
-    """_lapack's routine, but its call-th call reports argument as illegal (info = -argument)."""
-    real, calls = getattr(_lapack, routine), itertools.count()
+def _illegal(routine, argument):
+    """_lapack's routine, but each call reports argument as illegal (info = -argument)."""
+    real = getattr(_lapack, routine)
 
     def illegal(*args):
         real(*args)
-        if next(calls) == call:
-            args[-1]._obj.value = -argument  # info, passed by reference
+        args[-1]._obj.value = -argument  # info, passed by reference
 
     return illegal
 
 
 def test_factorization_argument_error_raises_value_error(monkeypatch):
-    # Every call's negative info raises the one ValueError naming its routine,
-    # dgeqp3's workspace query (its first call) included.
+    # Every call's negative info raises the one ValueError naming its routine.
     band = assemble_hamiltonian(split_parity_blocks(build_basis(14))[0], PARAMS)
-    rows = np.random.default_rng(3).standard_normal((3, 10))
     cases = [
-        ("dsbevd", 0, 6, lambda: _lapack.band_values(band)),  # ldab
-        ("dgbtrf", 0, 6, lambda: _eigenpairs(band, 10)),  # ldab
-        ("dgbtrs", 0, 7, lambda: _eigenpairs(band, 10)),  # ldab
-        ("dgeqp3", 0, 4, lambda: diag._canonical_basis(rows)),  # lda, in the query
-        ("dgeqp3", 1, 8, lambda: diag._canonical_basis(rows)),  # lwork
+        ("dsbevd", 6, lambda: _lapack.band_values(band)),  # ldab
+        ("dgbtrf", 6, lambda: _eigenpairs(band, 10)),  # ldab
+        ("dgbtrs", 7, lambda: _eigenpairs(band, 10)),  # ldab
     ]
-    for routine, call, argument, run in cases:
+    for routine, argument, run in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(_lapack, routine, _illegal_on_call(routine, call, argument))
+            patch.setattr(_lapack, routine, _illegal(routine, argument))
             message = f"^{routine}: argument {argument} had an illegal value$"
             with pytest.raises(ValueError, match=message):
                 run()
