@@ -10,8 +10,8 @@ by the torus rule I_k = (n_k + 1/2)*hbar.
 The normal-form terms are the analytic angle averages.  The
 angle-dependent side -- the coupling on the torus, the first-order
 generator, its homological identity and quadrature over the torus -- is
-an independent check, not the implementation route, and lives in
-quartosc.oracles.
+an independent check, not the implementation route, and lives in the
+tests' oracle module, tests/oracles.py.
 """
 
 from __future__ import annotations

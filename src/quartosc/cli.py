@@ -3,7 +3,8 @@
 Commands: `levels`, `compare`, `scan-hbar`.  Defaults reproduce the
 reference configuration omega1=1, omega2=sqrt(2), g=0.1, hbar=1.
 Exit codes: 0 ok, 2 bad input, 3 convergence budget exceeded or eigensolver
-failure, 4 I/O.
+failure, 4 I/O.  A side file (--dump-matrix, --json) is written before the
+table, so a run that exits non-zero writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -164,20 +165,20 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_levels(args: argparse.Namespace) -> int:
     params, values = _resolve(args)
     result = diag.converged_levels(params, k=values["k"], digits=values["digits"])
-    _emit(report.render_levels_csv(result.levels), args.out)
     if args.dump_matrix:
         matrix = diag.assemble_hamiltonian(diag.build_basis(result.final_n_max), params)
         with _naming("writing", args.dump_matrix):
             diag.dump_matrix_triplets(matrix, args.dump_matrix)
+    _emit(report.render_levels_csv(result.levels), args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     params, values = _resolve(args)
     table = report.comparison_table(params, n_rows=values["rows"], digits=values["digits"])
-    _emit(report.render_comparison_csv(table.rows), args.out)
     if args.json:
         _emit(report.render_json(table), args.json)
+    _emit(report.render_comparison_csv(table.rows), args.out)
     return EXIT_OK
 
 

@@ -103,11 +103,11 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     H[c + d, c], zero past the matrix.  X's steps by +-2 are o = 2 // step
     places along a mode's range, or none (o = 0) in a range of at most
     2 // step states, so b = o1 m2 + o2: m2 + 1 for a parity block,
-    2 m2 + 2 for the square cut.  Entries are computed in the product order of
-    oracles.v_matrix_element and quantum.e0_quantum, so each is bitwise
-    theirs; couplings are formed at model.range_exponent's (g 2^-s, hbar 2^s)
-    and scaled back last.  Raises MatrixOverflow if an entry is not finite,
-    naming the frequency term when a diagonal one is.
+    2 m2 + 2 for the square cut.  Entries are computed in the product order
+    of v_matrix_element in tests/oracles.py and of quantum.e0_quantum, so
+    each is bitwise theirs; couplings are formed at model.range_exponent's
+    (g 2^-s, hbar 2^s) and scaled back last.  Raises MatrixOverflow if an
+    entry is not finite, naming the frequency term when a diagonal one is.
     """
     x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
     m1, m2 = len(basis.modes1), len(basis.modes2)
@@ -172,8 +172,9 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Eigenvectors of the lower band for values[:count], one per column.
 
-    values holds all the band's eigenvalues, ascending.  Band and values
-    are first scaled by the power of two that puts max|E| in [0.5, 1),
+    values holds all the band's eigenvalues, ascending, and count is first
+    extended to the end of its run (below), so no run is cut.  Band and values
+    are scaled by the power of two that puts max|E| in [0.5, 1),
     and band entries below eps max|E| / n are dropped from the
     factorization.  Inverse iteration as LAPACK's dstein does it: per
     eigenvalue, in order, one LU factorization of H - lambda I in general
@@ -200,6 +201,8 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     shifts = np.ldexp(values, exponent)
     scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
     floor = np.finfo(float).eps * scale
+    edges = np.flatnonzero(np.diff(shifts) > floor) + 1  # the start of each run but the first
+    count = int(np.append(edges, len(shifts))[np.searchsorted(edges, count)])
     # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     slot = _lapack.LUSlot(lower, np.where(np.abs(lower) < floor / n, 0.0, lower))
@@ -232,7 +235,7 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
                 f"scale after {INVERSE_ITERATIONS} solves"
             )
         vectors[j] = x
-    edges = np.flatnonzero(np.diff(shifts[:count]) > floor) + 1
+    edges = edges[edges < count]
     try:
         for lo, hi in zip([0, *edges], [*edges, count]):
             if hi - lo > 1:
@@ -389,15 +392,13 @@ def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
 
     job is (values, band, block, ranks), values all the band's eigenvalues,
     ascending; kth is the highest labelled level's energy.  Vectors are
-    solved for every value up to kth, which keeps a degenerate run cut at
-    that level whole for _canonical_basis, and dropped when the job returns.
-    That holds where the block's distinct values lie more than eps max|E|
-    apart; a run of distinct values closer than that is cut at kth, so its
-    vectors, and the labels from them, depend on which levels are labelled.
-    It runs on a pool thread, so it calls only private functions and builds
-    no QuantumNumbers: a tracer may wrap the public ones with one span stack
-    and count constructions without a lock.  The calling thread builds the
-    levels from the claims with assign_quantum_numbers.
+    solved for every value up to kth and on to the end of its run
+    (_band_eigenvectors), which keeps the run whole for _canonical_basis,
+    and dropped when the job returns.  It runs on a pool thread, so it
+    calls only private functions and builds no QuantumNumbers: a tracer
+    may wrap the public ones with one span stack and count constructions
+    without a lock.  The calling thread builds the levels from the claims
+    with assign_quantum_numbers.
     """
     values, band, _, ranks = job
     share = int(np.searchsorted(values, kth, side="right"))

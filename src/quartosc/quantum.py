@@ -3,8 +3,8 @@
 The coupling operator in the two-mode number basis only connects states
 with Delta n in {0, +2, -2} per mode, so the second-order sum runs over
 at most eight intermediate states and has a closed form; its
-brute-force sum, the independent check of that form, lives in
-quartosc.oracles.
+brute-force sum, the independent check of that form, lives in the
+tests' oracle module, tests/oracles.py.
 
 The second-order energy splits into the torus-quantized classical term
 plus an hbar^2 quantum correction that is linear in the quantum numbers.

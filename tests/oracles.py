@@ -1,7 +1,7 @@
-"""Independent oracles that cross-check the perturbative routes.
+"""The tests' independent oracles, which cross-check the perturbative routes.
 
-Nothing in the three-route pipeline calls these; the tests do, and
-neither quartosc nor quartosc.cli imports this module.
+The tests import this module as `oracles`; the quartosc package does not
+ship it.
 
 Classical: the angle-dependent side of the averaging transformation --
 the coupling V and the first-order generator S1 on the angle torus, the
@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import ActionPair, h1_actions
-from .model import ModelParams, QuantumNumbers, range_exponent
-from .quantum import ladder_factor
+from quartosc.classical import ActionPair, h1_actions
+from quartosc.model import ModelParams, QuantumNumbers, range_exponent
+from quartosc.quantum import ladder_factor
 
 TWO_PI = 2.0 * math.pi
 

@@ -26,7 +26,10 @@ from quartosc.diag import (
     split_parity_blocks,
 )
 from quartosc.model import ModelParams, QuantumNumbers
-from quartosc.oracles import (
+from quartosc.quantum import decompose_e2, e0_quantum, e2_quantum_closed, qp_series
+from quartosc.report import comparison_table
+
+from oracles import (
     AnglePair,
     angle_average,
     coupling_v,
@@ -34,8 +37,6 @@ from quartosc.oracles import (
     homological_residual,
     s1_angle_gradient,
 )
-from quartosc.quantum import decompose_e2, e0_quantum, e2_quantum_closed, qp_series
-from quartosc.report import comparison_table
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)

@@ -12,7 +12,8 @@ from quartosc.classical import (
     semiclassical_series,
 )
 from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
-from quartosc.oracles import (
+
+from oracles import (
     AnglePair,
     action_angle_to_cartesian,
     angle_average,

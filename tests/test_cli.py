@@ -119,11 +119,14 @@ def test_more_levels_than_any_basis_holds_exits_3_at_once(argv):
     )
 
 
-def test_the_cli_loads_no_oracle_and_leaves_no_thread():
+def test_the_cli_loads_every_package_module_and_leaves_no_thread():
     probe = (
-        "import ctypes, sys, threading\n"
+        "import ctypes, pkgutil, sys, threading\n"
         "import quartosc.cli\n"
-        "assert 'quartosc.oracles' not in sys.modules\n"
+        # The installed package holds only what the CLI runs, and the CLI runs all of it.
+        "shipped = {'quartosc.' + m.name for m in pkgutil.iter_modules(quartosc.__path__)}\n"
+        "loaded = {name for name in sys.modules if name.startswith('quartosc.')}\n"
+        "assert shipped == loaded, (shipped - loaded, loaded - shipped)\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "before = threading.active_count()\n"
         "quartosc.cli.main(['levels', '--k', '3'])\n"
@@ -185,15 +188,18 @@ def test_unwritable_output_exits_4(capsys, tmp_path):
     ids=["dump-matrix", "out", "json"],
 )
 def test_write_error_names_its_file(capsys, tmp_path, argv):
-    # The message names the path once, whether the open or the write fails.
+    # The message names the path once, whether the open or the write fails, and a
+    # failed side file leaves stdout empty.
     missing = tmp_path / "missing" / "x"
-    code, _, err = run(capsys, *argv, str(missing))
+    code, out, err = run(capsys, *argv, str(missing))
     assert code == 4
+    assert out == ""
     assert err == f"error: writing {missing}: [Errno 2] No such file or directory\n"
     if not os.path.exists("/dev/full"):
         pytest.skip("the failing write needs /dev/full")
-    code, _, err = run(capsys, *argv, "/dev/full")
+    code, out, err = run(capsys, *argv, "/dev/full")
     assert code == 4
+    assert out == ""
     assert err == "error: writing /dev/full: [Errno 28] No space left on device\n"
 
 

@@ -35,8 +35,9 @@ from quartosc.diag import (
     symmetric_eigenvalues,
 )
 from quartosc.model import DEFAULT_PARAMS, ModelError, ModelParams, QuantumNumbers
-from quartosc.oracles import v_matrix_element
 from quartosc.quantum import e0_quantum
+
+from oracles import v_matrix_element
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
@@ -1096,11 +1097,6 @@ def test_labels_above_one_half_hold_their_argmax_in_every_claim_loop(params):
                 assert level.ambiguous and whole.ambiguous
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="in-block gaps below eps*max|E| leave a run's vectors unresolved, so an "
-    "unflagged label there depends on which levels are labelled with it",
-)
 def test_unflagged_labels_hold_in_every_claim_loop_where_gaps_are_below_rounding():
     # The promise of test_labels_above_one_half_hold_their_argmax_in_every_claim_loop,
     # where omega2 puts max|E| so high that a block's (n1, 0) levels, about 2 apart,

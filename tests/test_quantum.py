@@ -5,7 +5,6 @@ import pytest
 
 from quartosc.classical import ebk_actions, h0_actions, h1_actions
 from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
-from quartosc.oracles import e2_quantum_sum, v_matrix_element
 from quartosc.quantum import (
     decompose_e2,
     e0_quantum,
@@ -14,6 +13,8 @@ from quartosc.quantum import (
     q2_correction,
     qp_series,
 )
+
+from oracles import e2_quantum_sum, v_matrix_element
 
 SQRT2 = math.sqrt(2.0)
 PARAMS = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=1.0)
