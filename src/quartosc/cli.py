@@ -4,15 +4,18 @@ Commands: `levels`, `compare`, `scan-hbar`.  Defaults reproduce the
 reference configuration omega1=1, omega2=sqrt(2), g=0.1, hbar=1.
 Exit codes: 0 ok, 2 bad input, 3 convergence budget exceeded or eigensolver
 failure, 4 I/O.  A side file (--dump-matrix, --json) is written before the
-table, so a run that exits non-zero writes nothing to stdout.
+table, so a run that exits non-zero writes nothing to stdout, and removed
+again if the table cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import Iterator, Sequence
 
@@ -153,13 +156,24 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, dict]:
     return params, values
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write text to path, ASCII with the newlines as given, or to stdout without one."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with _naming("writing", path), open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+def _emit(text: str, path: str | None, side: str | None = None) -> None:
+    """Write text to path, ASCII with the newlines as given, or to stdout without one.
+
+    If that fails, a regular file at side, the side file this run wrote
+    before the table, is removed; a device or symlink there is left alone.
+    """
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            return
+        with _naming("writing", path), open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError:
+        if side is not None:
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(side).st_mode):
+                    os.remove(side)
+        raise
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
@@ -169,7 +183,7 @@ def _cmd_levels(args: argparse.Namespace) -> int:
         matrix = diag.assemble_hamiltonian(diag.build_basis(result.final_n_max), params)
         with _naming("writing", args.dump_matrix):
             diag.dump_matrix_triplets(matrix, args.dump_matrix)
-    _emit(report.render_levels_csv(result.levels), args.out)
+    _emit(report.render_levels_csv(result.levels), args.out, args.dump_matrix)
     return EXIT_OK
 
 
@@ -178,7 +192,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table = report.comparison_table(params, n_rows=values["rows"], digits=values["digits"])
     if args.json:
         _emit(report.render_json(table), args.json)
-    _emit(report.render_comparison_csv(table.rows), args.out)
+    _emit(report.render_comparison_csv(table.rows), args.out, args.json)
     return EXIT_OK
 
 

@@ -17,16 +17,18 @@ its steps and joins before it returns, so no thread outlives a call.
 Each step ranks its k lowest levels once, by one stable sort of all
 blocks' eigenvalues.  Only the accepted step takes eigenvectors, and only
 for the levels it labels: the lowest `labelled` of the k, all of them by
-default.  They come by inverse iteration on each band, shifted by the
-eigenvalues already found and scaled by a power of two, so that any valid
-g and hbar stay inside the exponent range; no n x n array is built.  That
-pass is one more map on the same pool, one job per block that holds a
-labelled level: the job solves the block's vectors in order, then runs
-the block's claim loop on them and returns the claims, so no vector array
-outlives its job.  The blocks share no basis state, so the labels are
-those of one claim loop over the labelled levels of all blocks.  The
-calling thread builds the levels from each job's claims with
-assign_quantum_numbers.
+default.  The ranking alone decides which those are, and each block's
+labelled levels are its lowest, so a block's labelled count is all its
+vector pass needs.  The vectors come by inverse iteration on each band,
+shifted by the eigenvalues already found and scaled by a power of two, so
+that any valid g and hbar stay inside the exponent range; no n x n array
+is built.  That pass is one more map on the same pool, one job per block
+that holds a labelled level: the job solves vectors for the block's
+labelled count, in order, then runs the block's claim loop on them and
+returns the claims, so no vector array outlives its job.  The blocks have
+no basis state in common, so the labels are those of one claim loop over
+the labelled levels of all blocks.  The calling thread builds the levels
+from each job's claims with assign_quantum_numbers.
 Every LAPACK and BLAS call is made by quartosc._lapack, which releases
 the GIL, so the jobs overlap, and never imports scipy.linalg.
 """
@@ -76,10 +78,6 @@ class BasisSpec:
 
     modes1: range
     modes2: range
-
-    @property
-    def dimension(self) -> int:
-        return len(self.modes1) * len(self.modes2)
 
 
 def build_basis(n_max: int) -> BasisSpec:
@@ -341,9 +339,9 @@ def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
     level first claims the state carrying that component; when it is
     already claimed the level walks its argsort, largest first, to its
     next-best unclaimed state, so the claims have no duplicates.  Parity
-    blocks share no basis state, so claims never meet across blocks, and
-    the claims of all blocks together are those of one such loop over
-    all their levels.  The input array is not modified.
+    blocks have no basis state in common, so claims never meet across
+    blocks, and the claims of all blocks together are those of one such
+    loop over all their levels.  The input array is not modified.
 
     Every level's maximum and its argmax are taken once.  A level whose
     maximum is unique, and whose state is still unclaimed, takes that
@@ -387,22 +385,22 @@ def assign_quantum_numbers(claims, values, block: BasisSpec, ranks) -> tuple[Spe
     )
 
 
-def _label_block(job, kth: float) -> list[tuple[int, int, float]]:
+def _label_block(job) -> list[tuple[int, int, float]]:
     """One accepted block's job: the claims (_claim) of its labelled levels.
 
     job is (values, band, block, ranks), values all the band's eigenvalues,
-    ascending; kth is the highest labelled level's energy.  Vectors are
-    solved for every value up to kth and on to the end of its run
-    (_band_eigenvectors), which keeps the run whole for _canonical_basis,
-    and dropped when the job returns.  It runs on a pool thread, so it
-    calls only private functions and builds no QuantumNumbers: a tracer
-    may wrap the public ones with one span stack and count constructions
-    without a lock.  The calling thread builds the levels from the claims
-    with assign_quantum_numbers.
+    ascending, and ranks the global ranks of the block's labelled levels,
+    which the ranking in converged_levels picked: the block's len(ranks)
+    lowest.  Vectors are solved for that many levels and on to the end of
+    the last one's run (_band_eigenvectors), which keeps the run whole for
+    _canonical_basis, and dropped when the job returns.  It runs on a pool
+    thread, so it calls only private functions and builds no
+    QuantumNumbers: a tracer may wrap the public ones with one span stack
+    and count constructions without a lock.  The calling thread builds the
+    levels from the claims with assign_quantum_numbers.
     """
     values, band, _, ranks = job
-    share = int(np.searchsorted(values, kth, side="right"))
-    return _claim(_band_eigenvectors(band, values, share), len(ranks))
+    return _claim(_band_eigenvectors(band, values, len(ranks)), len(ranks))
 
 
 def converged_levels(
@@ -420,10 +418,12 @@ def converged_levels(
     blocks' eigenvalues, so equal energies keep block order.  The report
     carries all k energies, but labels only the lowest `labelled` levels
     (default k): the claim loop runs over those alone, so the levels above
-    them move no label.  The accepted step maps _label_block over the
-    blocks that hold a labelled level, on the same pool: each job solves
-    its block's vectors on the retained band and returns the block's
-    claims, and the calling thread builds the levels from them with
+    them move no label.  That sort alone decides which levels each block
+    labels: the ranks of its levels among the lowest `labelled`.  The
+    accepted step maps _label_block over the blocks that hold a labelled
+    level, on the same pool: each job solves vectors for its block's
+    ranked count on the retained band and returns the block's claims, and
+    the calling thread builds the levels from them with
     assign_quantum_numbers.  The pool is joined before the call returns
     or raises.  Raises ValueError unless 1 <= labelled <= k,
     BudgetExceeded when fewer than two scheduled bases hold k levels (the
@@ -486,7 +486,7 @@ def converged_levels(
         per_block = [np.flatnonzero(block_of == i) + 1 for i in range(len(spectra))]
         # (values, band, block, ranks) of each block that holds a labelled level
         ranked = [(*spectrum, ranks) for spectrum, ranks in zip(spectra, per_block) if len(ranks)]
-        claims = list(pool.map(_label_block, ranked, itertools.repeat(values[labelled - 1])))
+        claims = list(pool.map(_label_block, ranked))
     levels = [
         level
         for (w, _, block, ranks), block_claims in zip(ranked, claims)

@@ -1,4 +1,4 @@
-"""Physical parameters and level labels shared by all pipelines.
+"""Physical parameters and level labels common to all pipelines.
 
 The system is a pair of harmonic oscillators with angular frequencies
 omega1, omega2 coupled by a quartic term g*q1^2*q2^2.  Everything is

@@ -174,9 +174,10 @@ def _dump_loop(matrix, path):
 
 
 def test_basis_dimensions():
-    assert build_basis(34).dimension == 1225
+    for n_max, dimension in [(34, 1225), (2, 9)]:
+        b = build_basis(n_max)
+        assert len(b.modes1) * len(b.modes2) == len(_states(b)) == dimension
     assert _states(build_basis(0)) == ((0, 0),)
-    assert build_basis(2).dimension == 9
 
 
 def test_basis_is_lexicographic():
@@ -224,19 +225,21 @@ def test_matrix_is_exactly_symmetric():
 @pytest.mark.parametrize("n_max", [34, 69])
 def test_bandwidth_is_m2_plus_1(n_max):
     basis = build_basis(n_max)
-    assert assemble_hamiltonian(basis, PARAMS).shape == (2 * (n_max + 1) + 3, basis.dimension)
+    n = len(basis.modes1) * len(basis.modes2)
+    assert assemble_hamiltonian(basis, PARAMS).shape == (2 * (n_max + 1) + 3, n)
     for b in split_parity_blocks(basis):
-        assert assemble_hamiltonian(b, PARAMS).shape == (len(b.modes2) + 2, b.dimension)
+        n = len(b.modes1) * len(b.modes2)
+        assert assemble_hamiltonian(b, PARAMS).shape == (len(b.modes2) + 2, n)
 
 
 def test_parity_block_sizes():
     blocks = split_parity_blocks(build_basis(34))
-    sizes = sorted(b.dimension for b in blocks)
+    sizes = sorted(len(b.modes1) * len(b.modes2) for b in blocks)
     assert sizes == [289, 306, 306, 324]
     assert sum(sizes) == 1225
 
     blocks0 = split_parity_blocks(build_basis(0))
-    assert sorted(b.dimension for b in blocks0) == [0, 0, 0, 1]
+    assert sorted(len(b.modes1) * len(b.modes2) for b in blocks0) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 14, 34])
@@ -248,15 +251,16 @@ def test_parity_split_is_the_modulo_scan(n_max):
     assert [_states(b) for b in blocks] == _parity_scan(lexicographic)
     merged = [s for b in blocks for s in _states(b)]
     assert sorted(merged) == list(lexicographic)
-    assert sum(b.dimension for b in blocks) == basis.dimension
+    assert sum(len(b.modes1) * len(b.modes2) for b in blocks) == len(lexicographic)
 
 
 def test_no_cross_block_coupling():
     basis = build_basis(6)
     h = _dense(assemble_hamiltonian(basis, PARAMS))
     parity = [(n1 % 2, n2 % 2) for n1, n2 in _states(basis)]
-    for i in range(basis.dimension):
-        for j in range(basis.dimension):
+    n = len(basis.modes1) * len(basis.modes2)
+    for i in range(n):
+        for j in range(n):
             if parity[i] != parity[j]:
                 assert h[i, j] == 0.0
 
@@ -277,7 +281,7 @@ def test_array_kernel_is_bitwise_the_loop(n_max, params):
     basis = build_basis(n_max)
     for b in [basis] + split_parity_blocks(basis):
         band, oracle = assemble_hamiltonian(b, params), _assemble_loop(_states(b), params)
-        n = b.dimension
+        n = len(b.modes1) * len(b.modes2)
         assert band.shape[1] == n
         for d, row in enumerate(band):
             assert np.array_equal(row[: n - d], np.diagonal(oracle, -d))
@@ -726,13 +730,13 @@ def test_block_job_holds_one_lu_buffer_per_factorization_in_flight(workers):
     job = (values, band, None, np.arange(1, count + 1))
     jobs = workers or 1
     with ThreadPoolExecutor(jobs) as pool:
-        list(pool.map(diag._label_block, [job] * jobs, [values[count - 1]] * jobs))  # warm up
+        list(pool.map(diag._label_block, [job] * jobs))  # warm up
         tracemalloc.start()
         try:
             if workers:
-                list(pool.map(diag._label_block, [job] * jobs, [values[count - 1]] * jobs))
+                list(pool.map(diag._label_block, [job] * jobs))
             else:
-                diag._label_block(job, values[count - 1])
+                diag._label_block(job)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -904,7 +908,7 @@ def test_each_schedule_step_solved_once(monkeypatch):
     # Values-only solves: each assembled band once, at the kernel.
     assert len(values_solved) == 20
     assert {id(band) for band in values_solved} == {id(h) for _, h in assembled}
-    # Vectors: each block of the accepted step that holds a ranked level once, for its share.
+    # Vectors: once per accepted block that holds a ranked level, for its ranked count.
     solved = [id(band) for band, _ in vectors_solved]
     assert len(solved) == len(set(solved)) <= 4
     assert set(solved) <= {id(h) for _, h in assembled[-4:]}
@@ -982,6 +986,45 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
     assert all(labelled)
     full = [(w, diag._band_eigenvectors(h, w, len(w)), block) for w, h, block in spectra]
     assert report.levels == _assign_global(full, k)
+
+
+@pytest.mark.parametrize("labelled", [50, 7])
+def test_block_jobs_solve_vectors_for_their_ranked_count(monkeypatch, labelled):
+    # At g = 0 with omega2 = 0.5 levels of different blocks tie exactly, so more of a
+    # block's values can reach the labelled energy than the stable ranking gives it.
+    # Each job solves vectors for its ranked count alone, and the labels equal those
+    # of a value cut that solves every value up to the labelled energy.
+    params = ModelParams(omega1=1.0, omega2=0.5, g=0.0, hbar=1.0)
+    original_vectors = diag._band_eigenvectors
+    solved = []
+
+    def spy_vectors(band, values, count):  # runs in a block's job on the pool
+        solved.append((values, count))  # list.append is atomic
+        return original_vectors(band, values, count)
+
+    monkeypatch.setattr(diag, "_band_eigenvectors", spy_vectors)
+    report = converged_levels(params, k=100, labelled=labelled)
+    monkeypatch.undo()
+
+    with ThreadPoolExecutor() as pool:
+        spectra = _block_spectra(params, report.final_n_max, pool)
+    ranked = {}  # a label's parities are its block's (modes1.start, modes2.start)
+    for lvl in report.levels:
+        parity = (lvl.assigned.n1 % 2, lvl.assigned.n2 % 2)
+        ranked[parity] = ranked.get(parity, 0) + 1
+    assert len(solved) == len(ranked)
+    for values, count in solved:
+        (block,) = [block for w, _, block in spectra if np.array_equal(w, values)]
+        assert count == ranked[(block.modes1.start, block.modes2.start)]
+
+    kth = report.energies[labelled - 1]
+    cut = [int(np.searchsorted(w, kth, side="right")) for w, _, _ in spectra]
+    assert sum(count for _, count in solved) == labelled < sum(cut)
+    lowest = [
+        (w[:count], original_vectors(h, w, count), block)
+        for (w, h, block), count in zip(spectra, cut)
+    ]
+    assert report.levels == _assign_global(lowest, labelled)
 
 
 _SQRT3_HBAR01 = ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1)
@@ -1189,8 +1232,8 @@ def test_at_most_workers_blocks_vectors_are_alive(monkeypatch, workers):
         returned.append(local.ref)  # list.append is atomic
         return vectors
 
-    def spy_job(job, kth):
-        claims = original_job(job, kth)
+    def spy_job(job):
+        claims = original_job(job)
         assert local.ref() is None
         return claims
 
@@ -1279,7 +1322,8 @@ def test_matrix_dump_round_trips(tmp_path):
     h = assemble_hamiltonian(basis, PARAMS)
     path = tmp_path / "matrix.txt"
     dump_matrix_triplets(h, str(path))
-    rebuilt = np.zeros((basis.dimension, basis.dimension))
+    n = len(basis.modes1) * len(basis.modes2)
+    rebuilt = np.zeros((n, n))
     for line in path.read_text().splitlines():
         i, j, v = line.split()
         rebuilt[int(i), int(j)] = float(v)
