@@ -28,7 +28,9 @@ labelled count, in order, then runs the block's claim loop on them and
 returns the claims, so no vector array outlives its job.  The blocks have
 no basis state in common, so the labels are those of one claim loop over
 the labelled levels of all blocks.  The calling thread builds the levels
-from each job's claims with assign_quantum_numbers.
+from each job's claims with assign_quantum_numbers.  Every tie, in the
+ranking, the canonical basis's column picks and the claim loop, goes to
+the lower index, so no label depends on numpy's sort algorithm.
 Every LAPACK and BLAS call is made by quartosc._lapack, which releases
 the GIL, so the jobs overlap, and never imports scipy.linalg.
 """
@@ -170,24 +172,25 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Eigenvectors of the lower band for values[:count], one per column.
 
-    values holds all the band's eigenvalues, ascending, and count is first
-    extended to the end of its run (below), so no run is cut.  Band and values
-    are scaled by the power of two that puts max|E| in [0.5, 1),
-    and band entries below eps max|E| / n are dropped from the
-    factorization.  Inverse iteration as LAPACK's dstein does it: per
-    eigenvalue, in order, one LU factorization of H - lambda I in general
-    band storage (pivots below eps max|E| raised to it), then band solves
-    from a seeded start vector, each followed by Gram-Schmidt against the
-    earlier vectors of its cluster (gaps below 1e-3 max|E|; skipped while
-    the cluster has none), until the residual |Hx - lambda x| is at the
-    rounding scale ROUNDING_FACTOR eps max|E|.  Factorization, solve and
-    Hx are the calls of one quartosc._lapack.LUSlot per pass (dgbtrf,
-    dgbtrs, dsbmv).  The start vectors are one draw of default_rng(0), the
-    same stream as one draw of n per vector, made into the array that
-    returns the vectors: row j is copied into the solve buffer, and its
-    finished vector written back over it.  Each run of eigenvalues no more
-    than eps max|E| apart then gets a canonical basis of its eigenspace
-    (_canonical_basis).  Raises ConvergenceFailure if a vector misses the
+    values holds all the band's eigenvalues, ascending.  The solve runs on
+    to the end of the last value's run (below), so no run is cut, and
+    returns count vectors.  Band and values are scaled by the power of two
+    that puts max|E| in [0.5, 1), and band entries below eps max|E| / n are
+    dropped from the factorization.  Inverse iteration as LAPACK's dstein
+    does it: per eigenvalue, in order, one LU factorization of H - lambda I
+    in general band storage (pivots below eps max|E| raised to it), then
+    band solves from a seeded start vector, each followed by Gram-Schmidt
+    against the earlier vectors of its cluster (gaps below 1e-3 max|E|;
+    skipped while the cluster has none), until the residual |Hx - lambda x|
+    is at the rounding scale ROUNDING_FACTOR eps max|E|.  Factorization,
+    solve and Hx are the calls of one quartosc._lapack.LUSlot per pass
+    (dgbtrf, dgbtrs, dsbmv).  The start vectors are one draw of
+    default_rng(0), the same stream as one draw of n per vector, made into
+    the array that returns the vectors: row j is copied into the solve
+    buffer, and its finished vector written back over it.  Each run of
+    eigenvalues no more than eps max|E| apart then gets a canonical basis
+    of its eigenspace (_canonical_basis), whose column picks send ties to
+    the lower index.  Raises ConvergenceFailure if a vector misses the
     rounding scale within INVERSE_ITERATIONS solves, or if a run's basis
     cannot be formed (LinAlgError).
     """
@@ -200,17 +203,17 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
     scale = max(abs(shifts[0]), abs(shifts[-1]))  # max|E|
     floor = np.finfo(float).eps * scale
     edges = np.flatnonzero(np.diff(shifts) > floor) + 1  # the start of each run but the first
-    count = int(np.append(edges, len(shifts))[np.searchsorted(edges, count)])
+    solved = int(np.append(edges, len(shifts))[np.searchsorted(edges, count)])  # whole runs
     # Entries below eps max|E| / n move no eigenvalue past the rounding scale,
     # but dgbtrf's partial pivoting could take a subnormal one as a pivot.
     slot = _lapack.LUSlot(lower, np.where(np.abs(lower) < floor / n, 0.0, lower))
     del lower  # the slot keeps its own copy: this one would only raise the job's peak
     x, hx, residual = slot.x, slot.hx, np.empty(n)
-    # Row j starts as vector j's start vector: one draw is the stream of count
+    # Row j starts as vector j's start vector: one draw is the stream of solved
     # draws of n, row by row.  Its finished vector is written back over it.
-    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (count, n))
+    vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (solved, n))
     first = 0  # the current cluster's first eigenvalue
-    for j, shift in enumerate(shifts[:count]):
+    for j, shift in enumerate(shifts[:solved]):
         if j and shift - shifts[j - 1] > 1e-3 * scale:
             first = j
         slot.factor(shift, floor)
@@ -233,14 +236,14 @@ def _band_eigenvectors(band: np.ndarray, values: np.ndarray, count: int) -> np.n
                 f"scale after {INVERSE_ITERATIONS} solves"
             )
         vectors[j] = x
-    edges = edges[edges < count]
+    edges = edges[edges < solved]
     try:
-        for lo, hi in zip([0, *edges], [*edges, count]):
+        for lo, hi in zip([0, *edges], [*edges, solved]):
             if hi - lo > 1:
                 vectors[lo:hi] = _canonical_basis(vectors[lo:hi])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return vectors.T
+    return vectors[:count].T
 
 
 def _norm(v: np.ndarray) -> float:
@@ -328,40 +331,37 @@ def _block_spectra(params: ModelParams, n_max: int, pool: ThreadPoolExecutor):
     return list(zip(pool.map(_lapack.band_values, bands), bands, blocks))
 
 
-def _claim(vectors: np.ndarray, count: int) -> list[tuple[int, int, float]]:
-    """The greedy claim loop that labels a block's count lowest levels.
+def _claim(vectors: np.ndarray) -> list[tuple[int, int, float]]:
+    """The greedy claim loop that labels a block's levels, one per column.
 
     vectors[:, j] is the j-th lowest level's eigenvector over the block's
     states (n1-major).  Returns (j, i, weight) per level j, in claim
     order: the level claimed basis state i, whose squared component in
     vectors[:, j] is weight.  Levels claim basis states in order of their
-    largest squared component, largest first, ties in level order.  Each
-    level first claims the state carrying that component; when it is
-    already claimed the level walks its argsort, largest first, to its
-    next-best unclaimed state, so the claims have no duplicates.  Parity
-    blocks have no basis state in common, so claims never meet across
-    blocks, and the claims of all blocks together are those of one such
-    loop over all their levels.  The input array is not modified.
+    largest squared component, largest first; each level walks its states
+    by squared component, largest first, to the first one unclaimed, so
+    the claims have no duplicates.  Both orders are stable sorts: ties go
+    to the lower index.  Parity blocks have no basis state in common, so
+    claims never meet across blocks, and the claims of all blocks together
+    are those of one such loop over all their levels.  The input array is
+    not modified.
 
-    Every level's maximum and its argmax are taken once.  A level whose
-    maximum is unique, and whose state is still unclaimed, takes that
-    state without a sort: a unique maximum is the last entry of any
-    argsort of the row.  The vectors of a block are complete and
-    orthonormal, so at most one level holds more than 1/2 of a state: a
-    level of peak above 1/2 takes its argmax whichever levels are in the
-    loop, and only one of weight at most 1/2 can be pushed off it.
+    A level's argmax, numpy's first maximal index, is the first step of
+    its walk, so a level whose argmax is unclaimed takes it without a
+    sort.  The vectors are orthonormal, so at most one level holds more
+    than 1/2 of a state: a level of peak above 1/2 takes its argmax
+    whichever levels are in the loop, and only one of weight at most 1/2
+    can be pushed off it.
     """
-    weights = (vectors[:, :count] ** 2).T  # one row of squared components per level
+    weights = (vectors**2).T  # one row of squared components per level
     peaks = weights.max(axis=1)
     best = weights.argmax(axis=1).tolist()
-    unique = (np.count_nonzero(weights == peaks[:, None], axis=1) == 1).tolist()
-    order = sorted(range(count), key=peaks.tolist().__getitem__, reverse=True)
     claimed: set[int] = set()
     claims = []
-    for j in order:
+    for j in np.argsort(-peaks, kind="stable").tolist():
         i = best[j]
-        if not unique[j] or i in claimed:
-            i = next(s for s in np.argsort(weights[j])[::-1].tolist() if s not in claimed)
+        if i in claimed:
+            i = next(s for s in np.argsort(-weights[j], kind="stable").tolist() if s not in claimed)
         claimed.add(i)
         claims.append((j, i, float(weights[j, i])))
     return claims
@@ -391,16 +391,17 @@ def _label_block(job) -> list[tuple[int, int, float]]:
     job is (values, band, block, ranks), values all the band's eigenvalues,
     ascending, and ranks the global ranks of the block's labelled levels,
     which the ranking in converged_levels picked: the block's len(ranks)
-    lowest.  Vectors are solved for that many levels and on to the end of
-    the last one's run (_band_eigenvectors), which keeps the run whole for
-    _canonical_basis, and dropped when the job returns.  It runs on a pool
-    thread, so it calls only private functions and builds no
-    QuantumNumbers: a tracer may wrap the public ones with one span stack
-    and count constructions without a lock.  The calling thread builds the
-    levels from the claims with assign_quantum_numbers.
+    lowest, equal energies going to the lower block.  It alone passes that
+    count: _band_eigenvectors returns that many vectors, and _claim
+    labels them all, ties going to the lower index.  The vectors are
+    dropped when the job returns.  It runs on a pool thread, so it calls
+    only private functions and builds no QuantumNumbers: a tracer may wrap
+    the public ones with one span stack and count constructions without a
+    lock.  The calling thread builds the levels from the claims with
+    assign_quantum_numbers.
     """
     values, band, _, ranks = job
-    return _claim(_band_eigenvectors(band, values, len(ranks)), len(ranks))
+    return _claim(_band_eigenvectors(band, values, len(ranks)))
 
 
 def converged_levels(

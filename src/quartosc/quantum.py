@@ -46,7 +46,8 @@ def e2_quantum_closed(n: QuantumNumbers, params: ModelParams) -> float:
     """Second-order shift, closed form (eight partially cancelling terms).
 
     The terms are accumulated with math.fsum so the cancellation does not
-    cost the 1e-12 agreement with the brute-force sum.
+    cost the 1e-12 agreement with the brute-force sum.  The cube uses *, as
+    float ** raises on overflow.
     """
     n1, n2 = n.n1, n.n2
     w1, w2 = params.omega1, params.omega2
@@ -60,7 +61,7 @@ def e2_quantum_closed(n: QuantumNumbers, params: ModelParams) -> float:
         (2 * n1 + 1) ** 2 * n2 * (n2 - 1) / w2,
         -(2 * n1 + 1) ** 2 * (n2 + 1) * (n2 + 2) / w2,
     )
-    return params.hbar**3 / 32.0 * math.fsum(terms)
+    return params.hbar * params.hbar * params.hbar / 32.0 * math.fsum(terms)
 
 
 def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:

@@ -118,18 +118,18 @@ def _assign_global(spectra, k):
 
 
 def _argsort_claims(weights, states):
-    """The greedy claim loop, walking each level's full argsort.
+    """The greedy claim loop, walking each level's full stable argsort.
 
     Level i, with squared components weights[i] over states[i], claims its
-    heaviest unclaimed state; levels go largest maximum first, ties in
-    level order.  Returns (i, index, weight) per level, in claim order: the
-    oracle for diag._claim.
+    heaviest unclaimed state; levels go largest maximum first, and both
+    orders send ties to the lower index.  Returns (i, index, weight) per
+    level, in claim order: the oracle for diag._claim.
     """
     order = sorted(range(len(weights)), key=lambda i: float(weights[i].max()), reverse=True)
     claimed = set()
     claims = []
     for i in order:
-        for idx in np.argsort(weights[i])[::-1]:
+        for idx in np.argsort(-weights[i], kind="stable"):
             state = states[i][int(idx)]
             if state not in claimed:
                 claimed.add(state)
@@ -160,7 +160,7 @@ def _assign_per_block(spectra, k):
     for i, (w, v, block) in enumerate(spectra):
         ranks = np.flatnonzero(block_of == i) + 1
         if len(ranks):
-            levels += assign_quantum_numbers(diag._claim(v, len(ranks)), w, block, ranks)
+            levels += assign_quantum_numbers(diag._claim(v[:, : len(ranks)]), w, block, ranks)
     return tuple(sorted(levels, key=lambda lvl: lvl.rank))
 
 
@@ -966,8 +966,8 @@ def test_block_with_no_ranked_level_is_neither_solved_nor_labelled(monkeypatch, 
         solved.append(count)
         return original_vectors(band, values, count)
 
-    def spy_claim(vectors, count):
-        claims = original_claim(vectors, count)
+    def spy_claim(vectors):
+        claims = original_claim(vectors)
         labelled.append(claims)
         return claims
 
@@ -1173,6 +1173,15 @@ def _orthonormal(n, m):
     return np.linalg.qr(np.random.default_rng(n).standard_normal((n, m)))[0]
 
 
+def _tied_runner_up(n):
+    """Two levels over n states, both of argmax state 0; the second's runner-up ties on 1 and 2."""
+    vectors = np.zeros((n, 2))
+    vectors[:, 1] = np.linspace(0.01, 0.02, n)  # distinct, below the tie
+    vectors[0] = [1.0, 0.8]
+    vectors[[1, 2], 1] = 0.4
+    return vectors
+
+
 #: Vector sets, one vector per column, that exercise each branch of diag._claim.
 _CLAIM_CASES = {
     # Exact ties for a row's maximum: two-way, three-way, and a Hadamard set
@@ -1188,6 +1197,10 @@ _CLAIM_CASES = {
     "orthonormal_10": lambda: _orthonormal(10, 10),
     "orthonormal_50x20": lambda: _orthonormal(50, 20),
     "orthonormal_324x100": lambda: _orthonormal(324, 100),
+    # An argmax already claimed, then a two-way tie.  The lower state must win at
+    # both lengths: numpy 2.4's reversed argsort gave state 2 at 100 states and 1 at 1225.
+    "claimed_tie_100": lambda: _tied_runner_up(100),
+    "claimed_tie_1225": lambda: _tied_runner_up(1225),
     "reference_block": lambda: _eigenpairs(
         assemble_hamiltonian(split_parity_blocks(build_basis(34))[0], PARAMS), 40
     )[1],
@@ -1196,13 +1209,14 @@ _CLAIM_CASES = {
 
 @pytest.mark.parametrize("case", _CLAIM_CASES)
 def test_claim_is_the_argsort_walk(case):
-    # _claim takes a unique unclaimed maximum without a sort; every claim must
-    # still be the one that walking each level's full argsort makes.
+    # _claim takes an unclaimed argmax without a sort; every claim must still be
+    # the one that walking each level's full stable argsort makes, so the ties
+    # of "ties" and "hadamard" go to the lower index.
     vectors = _CLAIM_CASES[case]()
     for count in sorted({vectors.shape[1], (vectors.shape[1] + 1) // 2}):
         weights = list((vectors[:, :count] ** 2).T)
         states = [range(len(vectors))] * count
-        assert diag._claim(vectors, count) == _argsort_claims(weights, states)
+        assert diag._claim(vectors[:, :count]) == _argsort_claims(weights, states)
 
 
 def test_assignment_leaves_its_input_unchanged():
@@ -1213,7 +1227,7 @@ def test_assignment_leaves_its_input_unchanged():
     copies = [(w.copy(), v.copy()) for w, v, _ in spectra]
     ranks = np.arange(1, 11)
     for w, v, block in spectra:
-        assign_quantum_numbers(diag._claim(v, len(ranks)), w, block, ranks)
+        assign_quantum_numbers(diag._claim(v[:, : len(ranks)]), w, block, ranks)
     for (w, v, _), (w0, v0) in zip(spectra, copies):
         assert np.array_equal(w, w0) and np.array_equal(v, v0)
 

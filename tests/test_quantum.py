@@ -188,6 +188,15 @@ def test_hbar_scaling_of_series_orders():
     assert b.e2 == pytest.approx(8.0 * a.e2, rel=1e-13)
 
 
+@pytest.mark.parametrize("hbar", [6e102, 1e103])
+def test_second_order_returns_where_the_hbar_cube_overflows(hbar):
+    # hbar^3 / 32 leaves the double range: the second order is infinite, not an
+    # OverflowError from float **, as semiclassical_series already returns.
+    n, params = QuantumNumbers(1, 2), ModelParams(omega1=1.0, omega2=2.0, g=0.1, hbar=hbar)
+    assert math.isinf(qp_series(n, params).e2)
+    assert math.isinf(decompose_e2(n, params).e2_total)
+
+
 def test_resonant_input_rejected():
     for series in (e2_quantum_closed, q2_correction, qp_series):
         with pytest.raises(ResonantFrequencies):
