@@ -3,9 +3,9 @@
 Commands: `levels`, `compare`, `scan-hbar`.  Defaults reproduce the
 reference configuration omega1=1, omega2=sqrt(2), g=0.1, hbar=1.
 Exit codes: 0 ok, 2 bad input, 3 convergence budget exceeded or eigensolver
-failure, 4 I/O.  A side file (--dump-matrix, --json) is written before the
-table, so a run that exits non-zero writes nothing to stdout, and removed
-again if the table cannot be written.
+failure, 4 I/O, a failed stdout write included.  A side file (--dump-matrix,
+--json) is written before the table, so a run that exits non-zero writes
+nothing to stdout, and removed again if the table cannot be written.
 """
 
 from __future__ import annotations
@@ -164,11 +164,15 @@ def _emit(text: str, path: str | None, side: str | None = None) -> None:
     """
     try:
         if path is None:
-            sys.stdout.write(text)
+            with _naming("writing", "stdout"):
+                print(text, end="", flush=True)  # a failed write raises here, not at exit
             return
         with _naming("writing", path), open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     except OSError:
+        if path is None:  # fd 1 to os.devnull: exit finds no unwritten bytes to retry
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         if side is not None:
             with suppress(OSError):
                 if stat.S_ISREG(os.lstat(side).st_mode):

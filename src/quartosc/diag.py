@@ -48,7 +48,7 @@ import numpy as np
 from . import _lapack
 from ._lapack import ConvergenceFailure
 from .model import ModelError, ModelParams, QuantumNumbers, range_exponent
-from .quantum import ladder_factor
+from .quantum import e0_quantum, ladder_factor
 
 #: The n_max of each basis the enlargement loop may try, in order: 14, 19, ..., 79.
 SCHEDULE = range(14, 80, 5)
@@ -103,11 +103,11 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
     H[c + d, c], zero past the matrix.  X's steps by +-2 are o = 2 // step
     places along a mode's range, or none (o = 0) in a range of at most
     2 // step states, so b = o1 m2 + o2: m2 + 1 for a parity block,
-    2 m2 + 2 for the square cut.  Entries are computed in the product order
-    of v_matrix_element in tests/oracles.py and of quantum.e0_quantum, so
-    each is bitwise theirs; couplings are formed at model.range_exponent's
-    (g 2^-s, hbar 2^s) and scaled back last.  Raises MatrixOverflow if an
-    entry is not finite, naming the frequency term when a diagonal one is.
+    2 m2 + 2 for the square cut.  Every entry comes from quantum's kernels:
+    e0_quantum on the diagonal, plus couplings from ladder_factor in the
+    product order of tests/oracles.py's v_matrix_element, at range_exponent's
+    (g 2^-s, hbar 2^s) and scaled back last.  A non-finite entry raises
+    MatrixOverflow, naming the frequency term when a diagonal one is.
     """
     x1, x2 = _mode_diagonals(basis.modes1), _mode_diagonals(basis.modes2)
     m1, m2 = len(basis.modes1), len(basis.modes2)
@@ -126,9 +126,7 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
                 band[d * m2 + e, : m1 - d, k] = coupling * np.multiply.outer(quarter * x1d, x2e)
         if s:
             band = np.ldexp(band, -s)
-        band = band.reshape(b + 1, m1 * m2)
-        n1, n2 = np.array(basis.modes1)[:, None], np.array(basis.modes2)
-        diagonal = hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5)).ravel()
+        diagonal = e0_quantum(np.array(basis.modes1)[:, None], np.array(basis.modes2), params)
         band[0] += diagonal
     # Every entry is >= 0 or nan, and max propagates nan: one finite max clears them all.
     if not np.isfinite(band.max(initial=0.0)):
@@ -136,7 +134,7 @@ def assemble_hamiltonian(basis: BasisSpec, params: ModelParams) -> np.ndarray:
         if not np.isfinite(diagonal.max(initial=0.0)):
             cause = f"omega1={params.omega1}, omega2={params.omega2}, hbar={hbar} (frequency term)"
         raise MatrixOverflow(f"the Hamiltonian overflows double precision at {cause}")
-    return band
+    return band.reshape(b + 1, m1 * m2)
 
 
 def _mode_diagonals(modes: range) -> dict[int, np.ndarray]:

@@ -30,11 +30,9 @@ def ladder_factor(n: int | np.ndarray, step: int):
     return 2.0 * n + 1.0
 
 
-def e0_quantum(n: QuantumNumbers, params: ModelParams) -> float:
-    """Unperturbed level hbar*[omega1*(n1 + 1/2) + omega2*(n2 + 1/2)]."""
-    return params.hbar * (
-        params.omega1 * (n.n1 + 0.5) + params.omega2 * (n.n2 + 0.5)
-    )
+def e0_quantum(n1: int | np.ndarray, n2: int | np.ndarray, params: ModelParams):
+    """Unperturbed level hbar*[omega1*(n1 + 1/2) + omega2*(n2 + 1/2)]; n1, n2 may be int arrays."""
+    return params.hbar * (params.omega1 * (n1 + 0.5) + params.omega2 * (n2 + 0.5))
 
 
 def e1_quantum(n: QuantumNumbers, hbar: float) -> float:
@@ -81,7 +79,7 @@ def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:
 def qp_series(n: QuantumNumbers, params: ModelParams) -> PerturbationSeries:
     """Quantum perturbative level as a series in g."""
     return PerturbationSeries(
-        e0=e0_quantum(n, params),
+        e0=e0_quantum(n.n1, n.n2, params),
         e1=e1_quantum(n, params.hbar),
         e2=e2_quantum_closed(n, params),
     )

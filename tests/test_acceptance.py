@@ -282,7 +282,7 @@ def test_criterion_9_property_suite(default_table):
     free = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
     report = converged_levels(free, k=50, digits=8)
     analytic = sorted(
-        e0_quantum(QuantumNumbers(n1, n2), free)
+        e0_quantum(n1, n2, free)
         for n1 in range(40)
         for n2 in range(40)
     )[:50]

@@ -224,6 +224,43 @@ def test_failed_table_write_removes_the_side_file(capsys, tmp_path, argv):
     assert code == 0 and side.stat().st_size > 0
 
 
+@pytest.mark.parametrize(
+    "argv, sink",
+    [
+        (["levels", "--k", "3"], "full"),
+        (["levels", "--k", "3"], "closed pipe"),
+        (["compare", "--rows", "3", "--json"], "full"),
+    ],
+    ids=["levels-full", "levels-closed-pipe", "compare-json-full"],
+)
+def test_failed_stdout_write_exits_4_with_one_error_line(tmp_path, argv, sink):
+    # With buffered stdout a short table would first be written at interpreter
+    # shutdown, past main's handlers: the run must fail inside main, and once.
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("the failing write needs /dev/full")
+    side = tmp_path / "side.json"
+    if argv[-1] == "--json":
+        argv = [*argv, str(side)]
+    env = dict(os.environ, PYTHONPATH=str(Path(quartosc.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if sink == "full":
+        out = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, out = os.pipe()
+        os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartosc.cli", *argv],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(out)
+    cause = {"full": "[Errno 28] No space left on device", "closed pipe": "[Errno 32] Broken pipe"}
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == f"error: writing stdout: {cause[sink]}\n"
+    assert not side.exists()
+
+
 def test_missing_config_file_names_it_once(capsys, tmp_path):
     missing = tmp_path / "missing.cfg"
     code, out, err = run(capsys, "levels", "--k", "5", "--config", str(missing))

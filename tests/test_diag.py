@@ -60,7 +60,7 @@ def _assemble_loop(states, params):
     g, hbar = params.g, params.hbar
     for i, (n1, n2) in enumerate(states):
         ket = QuantumNumbers(n1, n2)
-        h[i, i] = e0_quantum(ket, params) + v_matrix_element(ket, ket, hbar, g)
+        h[i, i] = e0_quantum(n1, n2, params) + v_matrix_element(ket, ket, hbar, g)
         for d1, d2 in _LOOP_STEPS:
             m = (n1 + d1, n2 + d2)
             j = index.get(m)
@@ -190,7 +190,7 @@ def test_zero_coupling_gives_diagonal_matrix():
     basis = build_basis(3)
     h = assemble_hamiltonian(basis, params)
     expected = np.diag(
-        [e0_quantum(QuantumNumbers(*s), params) for s in _states(basis)]
+        [e0_quantum(*s, params) for s in _states(basis)]
     )
     np.testing.assert_allclose(_dense(h), expected, atol=0.0)
 
@@ -476,7 +476,7 @@ def test_degenerate_shifts_give_unit_vectors(omega2):
     for lvl in levels:
         assert lvl.overlap_weight == pytest.approx(1.0, abs=1e-12)  # also rules out nan
         assert not lvl.ambiguous
-        assert e0_quantum(lvl.assigned, params) == lvl.energy
+        assert e0_quantum(lvl.assigned.n1, lvl.assigned.n2, params) == lvl.energy
     assert len({lvl.assigned for lvl in levels}) == len(levels)
 
 
@@ -1287,7 +1287,7 @@ def test_converged_levels_zero_coupling():
     params = ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0)
     report = converged_levels(params, k=20, digits=8)
     analytic = sorted(
-        e0_quantum(QuantumNumbers(n1, n2), params)
+        e0_quantum(n1, n2, params)
         for n1 in range(30)
         for n2 in range(30)
     )[:20]
@@ -1326,7 +1326,7 @@ def test_first_order_shift_from_weak_coupling():
     report = converged_levels(params, k=10, digits=8)
     for lvl in report.levels[:5]:
         n = lvl.assigned
-        slope = (lvl.energy - e0_quantum(n, params)) / g
+        slope = (lvl.energy - e0_quantum(n.n1, n.n2, params)) / g
         expected = (n.n1 + 0.5) * (n.n2 + 0.5)
         assert slope == pytest.approx(expected, rel=1e-3)
 

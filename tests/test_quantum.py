@@ -48,10 +48,22 @@ def test_matrix_element_hermitian():
 
 
 def test_zeroth_order_values():
-    assert e0_quantum(QuantumNumbers(0, 0), PARAMS) == pytest.approx((1.0 + SQRT2) / 2.0)
-    assert e0_quantum(QuantumNumbers(1, 0), PARAMS) == pytest.approx(1.5 + SQRT2 / 2.0)
+    assert e0_quantum(0, 0, PARAMS) == pytest.approx((1.0 + SQRT2) / 2.0)
+    assert e0_quantum(1, 0, PARAMS) == pytest.approx(1.5 + SQRT2 / 2.0)
     small = ModelParams(omega1=1.0, omega2=SQRT2, g=0.1, hbar=0.1)
-    assert e0_quantum(QuantumNumbers(0, 0), small) == pytest.approx((1.0 + SQRT2) / 20.0)
+    assert e0_quantum(0, 0, small) == pytest.approx((1.0 + SQRT2) / 20.0)
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, ModelParams(omega1=1.0, omega2=SQRT2, g=1e159, hbar=1e-160)]
+)
+def test_zeroth_order_on_int_arrays_is_the_scalar_kernel_bitwise(params):
+    # assemble_hamiltonian takes H's diagonal from one broadcast call.
+    n1, n2 = np.arange(0, 70, 3)[:, None], np.arange(1, 70, 2)
+    grid = e0_quantum(n1, n2, params)
+    assert grid.shape == (24, 35)
+    scalar = [[e0_quantum(a, b, params) for b in n2.tolist()] for a in n1.ravel().tolist()]
+    assert grid.tobytes() == np.array(scalar).tobytes()
 
 
 def test_first_order_values():
@@ -70,7 +82,7 @@ def test_low_orders_coincide_with_torus_quantization():
             for n2 in range(21):
                 n = QuantumNumbers(n1, n2)
                 actions = ebk_actions(n, hbar)
-                assert e0_quantum(n, params) == pytest.approx(
+                assert e0_quantum(n1, n2, params) == pytest.approx(
                     h0_actions(actions, params), rel=1e-14
                 )
                 assert e1_quantum(n, hbar) == pytest.approx(
