@@ -1,13 +1,9 @@
 """Rayleigh-Schrodinger perturbation theory through second order.
 
-The coupling operator in the two-mode number basis only connects states
-with Delta n in {0, +2, -2} per mode, so the second-order sum runs over
-at most eight intermediate states and has a closed form; its
-brute-force sum, the independent check of that form, lives in the
-tests' oracle module, tests/oracles.py.
-
-The second-order energy splits into the torus-quantized classical term
-plus an hbar^2 quantum correction that is linear in the quantum numbers.
+ladder_square, the one table of the coupling's squared elements, gives H's entries, the first
+order (H's diagonal coupling) and the second (the sum over the eight states the coupling
+reaches, which the paper prints with its squares written out).  The second order is checked by
+tests/oracles.py's float sum over v_matrix_element and by decompose_e2's torus identity.
 """
 
 from __future__ import annotations
@@ -21,13 +17,18 @@ from .classical import ebk_actions, h2_actions
 from .model import ModelParams, PerturbationSeries, QuantumNumbers
 
 
-def ladder_factor(n: int | np.ndarray, step: int):
-    """Single-mode factor of <n + step|(a + a^+)^2|n>, step -2, 0 or 2; n may be an int array."""
+def ladder_square(n: int | np.ndarray, step: int):
+    """Exact <n + step|(a + a^+)^2|n>^2 for step -2, 0, 2: n(n - 1), (2n + 1)^2, (n + 1)(n + 2)."""
     if step == -2:
-        return np.sqrt(n * (n - 1))
+        return n * (n - 1)
     if step == 2:
-        return np.sqrt((n + 1) * (n + 2))
-    return 2.0 * n + 1.0
+        return (n + 1) * (n + 2)
+    return (2 * n + 1) ** 2
+
+
+def ladder_factor(n: int | np.ndarray, step: int):
+    """<n + step|(a + a^+)^2|n>, the root of ladder_square: exact while the square is below 2^53."""
+    return np.sqrt(ladder_square(n, step) * 1.0)  # * 1.0: numpy takes no int past int64
 
 
 def e0_quantum(n1: int | np.ndarray, n2: int | np.ndarray, params: ModelParams):
@@ -36,37 +37,36 @@ def e0_quantum(n1: int | np.ndarray, n2: int | np.ndarray, params: ModelParams):
 
 
 def e1_quantum(n: QuantumNumbers, hbar: float) -> float:
-    """First-order shift hbar^2*(n1 + 1/2)*(n2 + 1/2), the diagonal coupling element."""
-    return hbar * hbar * (n.n1 + 0.5) * (n.n2 + 0.5)
+    """First-order shift hbar^2*(n1 + 1/2)*(n2 + 1/2), H's diagonal coupling element.
+
+    Halving the factors, not hbar^2, spares a subnormal hbar^2 a second rounding.
+    """
+    return float(hbar * hbar * (0.5 * ladder_factor(n.n1, 0)) * (0.5 * ladder_factor(n.n2, 0)))
 
 
 def e2_quantum_closed(n: QuantumNumbers, params: ModelParams) -> float:
-    """Second-order shift, closed form (eight partially cancelling terms).
+    """Second-order shift, the sum over the eight states the coupling reaches.
 
-    The terms are accumulated with math.fsum so the cancellation does not
-    cost the 1e-12 agreement with the brute-force sum.  The cube uses *, as
-    float ** raises on overflow.
+    Step d adds hbar^3/32 times ladder_square(n1, d1) ladder_square(n2, d2) over -(omega1 d1/2 +
+    omega2 d2/2), d halved so that it is exact; math.fsum keeps the 1e-12 agreement with the
+    brute-force sum.  Where d's and -d's terms overflow with opposite signs, their exact integer
+    difference over their shared denominator is summed instead.  The cube uses *: float ** raises.
     """
-    n1, n2 = n.n1, n.n2
     w1, w2 = params.omega1, params.omega2
-    terms = (
-        n1 * (n1 - 1) * n2 * (n2 - 1) / (w1 + w2),
-        -(n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) / (w1 + w2),
-        n1 * (n1 - 1) * (n2 + 1) * (n2 + 2) / (w1 - w2),
-        -(n1 + 1) * (n1 + 2) * n2 * (n2 - 1) / (w1 - w2),
-        n1 * (n1 - 1) * (2 * n2 + 1) ** 2 / w1,
-        -(n1 + 1) * (n1 + 2) * (2 * n2 + 1) ** 2 / w1,
-        (2 * n1 + 1) ** 2 * n2 * (n2 - 1) / w2,
-        -(2 * n1 + 1) ** 2 * (n2 + 1) * (n2 + 2) / w2,
-    )
-    return params.hbar * params.hbar * params.hbar / 32.0 * math.fsum(terms)
+    # (square, denominator) per step d; steps 4 to 7 are steps 3 to 0 negated.
+    terms = [(ladder_square(n.n1, d1) * ladder_square(n.n2, d2), -(w1 * (d1 // 2) + w2 * (d2 // 2)))
+             for d1 in (-2, 0, 2) for d2 in (-2, 0, 2) if d1 or d2]
+    try:
+        total = math.fsum(square / den for square, den in terms)
+    except ValueError:  # inf - inf
+        total = math.fsum((a - b) / den for (a, den), (b, _) in zip(terms, reversed(terms[4:])))
+    return params.hbar * params.hbar * params.hbar / 32.0 * total
 
 
 def q2_correction(n: QuantumNumbers, params: ModelParams) -> float:
     """Quantum correction beyond torus quantization at second order.
 
-    -(3/32) [ (n1 - n2)*hbar/(omega1 - omega2)
-              + (n1 + n2 + 1)*hbar/(omega1 + omega2) ]
+    -(3/32) [(n1 - n2)*hbar/(omega1 - omega2) + (n1 + n2 + 1)*hbar/(omega1 + omega2)]
 
     Linear in both quantum numbers; enters the energy as g^2 * hbar^2 * Q2.
     """
@@ -89,7 +89,7 @@ def qp_series(n: QuantumNumbers, params: ModelParams) -> PerturbationSeries:
 class EnergyDecomposition:
     """Split of the second-order energy into classical and quantum parts.
 
-    e2_total = e_semiclassical_2 + hbar^2 * q2, exactly as evaluated.
+    e2_total, the closed form, is e_semiclassical_2 + hbar^2 * q2 up to rounding.
     """
 
     e_semiclassical_2: float

@@ -1,10 +1,13 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from quartosc.classical import ebk_actions, h0_actions, h1_actions
-from quartosc.model import ModelParams, QuantumNumbers, ResonantFrequencies
+from quartosc.diag import assemble_hamiltonian, build_basis
+from quartosc.model import RESONANCE_TOLERANCE, ModelParams, QuantumNumbers, ResonantFrequencies
 from quartosc.quantum import (
     decompose_e2,
     e0_quantum,
@@ -69,10 +72,28 @@ def test_zeroth_order_on_int_arrays_is_the_scalar_kernel_bitwise(params):
 def test_first_order_values():
     assert e1_quantum(QuantumNumbers(0, 0), 1.0) == pytest.approx(0.25)
     assert e1_quantum(QuantumNumbers(1, 0), 1.0) == pytest.approx(0.75)
+    # (2 n1 + 1)^2 leaves int64, and its root stays exact
+    assert e1_quantum(QuantumNumbers(10**10, 3), 1.0) == (10**10 + 0.5) * 3.5
     # equals the diagonal coupling element
-    assert e1_quantum(QuantumNumbers(3, 2), 1.0) == pytest.approx(
-        v_matrix_element(*_bra_ket(3, 2, 3, 2), 1.0)
-    )
+    assert e1_quantum(QuantumNumbers(3, 2), 1.0) == v_matrix_element(*_bra_ket(3, 2, 3, 2), 1.0)
+    series = qp_series(QuantumNumbers(3, 2), PARAMS)
+    assert [type(e) for e in (series.e0, series.e1, series.e2)] == [float, float, float]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PARAMS,
+        ModelParams(omega1=1.0, omega2=math.sqrt(3.0), g=0.37, hbar=0.1),
+        ModelParams(omega1=1.0, omega2=SQRT2, g=0.0, hbar=1.0),
+    ],
+)
+def test_first_order_series_is_the_hamiltonian_diagonal_bitwise(params):
+    basis = build_basis(34)
+    diagonal = assemble_hamiltonian(basis, params)[0]
+    for i, (n1, n2) in enumerate(itertools.product(basis.modes1, basis.modes2)):
+        s = qp_series(QuantumNumbers(n1, n2), params)
+        assert diagonal[i] == s.e0 + params.g * s.e1
 
 
 def test_low_orders_coincide_with_torus_quantization():
@@ -100,6 +121,59 @@ def test_second_order_closed_values():
     assert e2_quantum_closed(QuantumNumbers(1, 0), PARAMS) == pytest.approx(
         -0.7405776503073436, rel=1e-12
     )
+
+
+def _e2_as_printed(n1, n2, params):
+    """The paper's closed form, its eight terms as printed."""
+    w1, w2 = params.omega1, params.omega2
+    terms = (
+        n1 * (n1 - 1) * n2 * (n2 - 1) / (w1 + w2),
+        -(n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) / (w1 + w2),
+        n1 * (n1 - 1) * (n2 + 1) * (n2 + 2) / (w1 - w2),
+        -(n1 + 1) * (n1 + 2) * n2 * (n2 - 1) / (w1 - w2),
+        n1 * (n1 - 1) * (2 * n2 + 1) ** 2 / w1,
+        -(n1 + 1) * (n1 + 2) * (2 * n2 + 1) ** 2 / w1,
+        (2 * n1 + 1) ** 2 * n2 * (n2 - 1) / w2,
+        -(2 * n1 + 1) ** 2 * (n2 + 1) * (n2 + 2) / w2,
+    )
+    return params.hbar * params.hbar * params.hbar / 32.0 * math.fsum(terms)
+
+
+def test_second_order_is_the_printed_closed_form_bitwise():
+    omegas = (5e-324, 1e-300, 1.0, 1e308, sys.float_info.max)
+    hbars = (1e-160, 0.1, 6e102, 1e103)
+    quanta = [*range(41), 79, 500]
+    compared = 0
+    for (w1, w2), hbar in itertools.product(itertools.permutations(omegas, 2), hbars):
+        if abs(w1 - w2) < RESONANCE_TOLERANCE:
+            continue
+        params = ModelParams(omega1=w1, omega2=w2, g=0.1, hbar=hbar)
+        for n1, n2 in itertools.product(quanta, quanta):
+            actual = e2_quantum_closed(QuantumNumbers(n1, n2), params)
+            try:
+                expected = _e2_as_printed(n1, n2, params)
+            except ValueError:  # inf - inf in the printed sum; the closed form still returns
+                assert type(actual) is float
+                continue
+            assert actual == expected or math.isnan(actual) and math.isnan(expected)
+            assert math.copysign(1.0, actual) == math.copysign(1.0, expected)
+            compared += 1
+    assert compared > 40000
+
+
+def test_second_order_returns_where_two_terms_overflow_with_opposite_signs():
+    # At omega1 1e-305 the terms of steps (-2, 0) and (2, 0), n1(n1-1)(2 n2+1)^2 / omega1 and
+    # -(n1+1)(n1+2)(2 n2+1)^2 / omega1, are inf and -inf; their exact difference is -inf.
+    n, params = QuantumNumbers(10, 10), ModelParams(omega1=1e-305, omega2=1.0, g=0.1, hbar=1.0)
+    with pytest.raises(ValueError):
+        _e2_as_printed(10, 10, params)
+    assert e2_quantum_closed(n, params) == -math.inf
+    assert qp_series(n, params).e2 == -math.inf
+    assert decompose_e2(n, params).e2_total == -math.inf
+    # At omega1 3e-307 both terms of n1 = 10 overflow, but not their difference, -42 / omega1.
+    n, params = QuantumNumbers(10, 0), ModelParams(omega1=3e-307, omega2=1.0, g=0.1, hbar=1.0)
+    assert math.isfinite(e2_quantum_closed(n, params))
+    assert e2_quantum_closed(n, params) == pytest.approx(e2_quantum_sum(n, params), rel=1e-12)
 
 
 def test_second_order_exchange_symmetry():
